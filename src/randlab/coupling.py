@@ -1,8 +1,9 @@
 """Coupling decisions on the hypercube, monotonization, and sparsity values.
 
 Whether one level-n mass vector can be coupled below another along the
-coordinatewise order is decided by an exact rational max-flow; infeasibility
-is certified by a violating monotone upper set extracted from the min cut.
+coordinatewise order is decided by an exact integer max flow on the
+hypercube's Hasse diagram; infeasibility is certified by the violating
+monotone upper set on the source side of the minimal min cut.
 The brute-force criterion over all monotone 0/1 functions gives the same
 answer (Strassen) and serves as a cross-check up to n = 4.
 """
@@ -12,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Optional
 
 from .measures import DyadicMeasure, all_words, bernoulli_mass, realize, Bernoulli, validate_bits
@@ -72,107 +74,148 @@ class CouplingResult:
     q_mass: Optional[Fraction] = None
 
 
-def _maxflow_level(
-    p_mass: Mapping[str, Fraction], q_mass: Mapping[str, Fraction], n: int
-) -> tuple[Fraction, dict[tuple[str, str], Fraction], set[str]]:
-    """Exact max flow from P-words to Q-words along x <= y.
+def _hasse_flow(
+    n: int, supply: list[int], demand: list[int]
+) -> tuple[int, dict[tuple[int, int], int], list[bool]]:
+    """Integer max flow from `supply` to `demand` along the Hasse diagram.
 
-    Returns (flow value, edge flows, residual-reachable P-words).  Nodes are
-    visited in lexicographic order so the result is deterministic.
+    Node x < 2^n stands for the level-n word with binary value x.  Arcs
+    flip a single 0 to 1 and carry unbounded capacity, so a unit can travel
+    from x to y exactly when x <= y coordinatewise.  Dinic's algorithm on
+    adjacency lists; edge e ^ 1 is the reverse of edge e.
+
+    Returns (flow value, plan, residual-reachable words).  The plan maps
+    (x, y) to the amount of x's supply routed to y's demand, read off by
+    decomposing the acyclic flow into paths.  The reachable words form the
+    source side of the minimal min cut: an upper set, because every flip arc
+    keeps residual capacity.
     """
-    words = all_words(n)
-    source, sink = "S", "T"
-    nodes = [source] + [("P", x) for x in words] + [("Q", y) for y in words] + [sink]
-    cap: dict[tuple, Fraction] = {}
-    adj: dict = {node: [] for node in nodes}
+    size = 1 << n
+    source, sink = size, size + 1
+    head: list[list[int]] = [[] for _ in range(size + 2)]
+    to: list[int] = []
+    cap: list[int] = []
 
-    def add_edge(u, v, c):
-        cap[(u, v)] = c
-        cap[(v, u)] = Fraction(0)
-        adj[u].append(v)
-        adj[v].append(u)
+    def add_arc(u: int, v: int, c: int) -> None:
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
 
-    for x in words:
-        add_edge(source, ("P", x), Fraction(p_mass[x]))
-    for x in words:
-        for y in words:
-            if leq_words(x, y):
-                add_edge(("P", x), ("Q", y), Fraction(2))
-    for y in words:
-        add_edge(("Q", y), sink, Fraction(q_mass[y]))
+    unbounded = sum(supply) + 1
+    for x in range(size):
+        if supply[x]:
+            add_arc(source, x, supply[x])
+    for x in range(size):
+        if demand[x]:
+            add_arc(x, sink, demand[x])
+        for k in range(n):
+            if not x >> k & 1:
+                add_arc(x, x | 1 << k, unbounded)
 
-    flow: dict[tuple, Fraction] = {edge: Fraction(0) for edge in cap}
-    total = Fraction(0)
-    while True:
-        # BFS in deterministic adjacency order
-        parent = {source: None}
+    def reach() -> list[int]:
+        """BFS levels over arcs with residual capacity (-1: unreachable)."""
+        level = [-1] * (size + 2)
+        level[source] = 0
         queue = [source]
-        while queue and sink not in parent:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] - flow[(u, v)] > 0:
-                    parent[v] = u
+        for u in queue:
+            for e in head[u]:
+                v = to[e]
+                if cap[e] and level[v] < 0:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        if sink not in parent:
+        return level
+
+    def augment(u: int, limit: int) -> int:
+        if u == sink:
+            return limit
+        edges = head[u]
+        while cursor[u] < len(edges):
+            e = edges[cursor[u]]
+            v = to[e]
+            if cap[e] and level[v] == level[u] + 1:
+                pushed = augment(v, min(limit, cap[e]))
+                if pushed:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                    return pushed
+            cursor[u] += 1
+        return 0
+
+    total = 0
+    while True:
+        level = reach()
+        if level[sink] < 0:
             break
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            slack = cap[(u, v)] - flow[(u, v)]
-            bottleneck = slack if bottleneck is None else min(bottleneck, slack)
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            flow[(u, v)] += bottleneck
-            flow[(v, u)] -= bottleneck
-            v = u
-        total += bottleneck
+        cursor = [0] * (size + 2)
+        pushed = augment(source, unbounded)
+        while pushed:
+            total += pushed
+            pushed = augment(source, unbounded)
 
-    reachable = {source}
-    queue = [source]
-    while queue:
-        u = queue.pop(0)
-        for v in adj[u]:
-            if v not in reachable and cap[(u, v)] - flow[(u, v)] > 0:
-                reachable.add(v)
-                queue.append(v)
-    reachable_p = {node[1] for node in reachable if isinstance(node, tuple) and node[0] == "P"}
-
-    edge_flows = {
-        (x, y): flow[(("P", x), ("Q", y))]
-        for x in words
-        for y in words
-        if leq_words(x, y) and flow[(("P", x), ("Q", y))] > 0
-    }
-    return total, edge_flows, reachable_p
+    # Path decomposition: words in increasing value are in topological
+    # order, and each word passes on the parcels it received, by origin.
+    parcels: list[dict[int, int]] = [{} for _ in range(size)]
+    for e in head[source]:
+        if cap[e ^ 1]:
+            parcels[to[e]][to[e]] = cap[e ^ 1]
+    plan: dict[tuple[int, int], int] = {}
+    for x in range(size):
+        arrived = list(parcels[x].items())
+        i = 0
+        for e in head[x]:
+            amount = cap[e ^ 1] if e % 2 == 0 else 0  # flow on a forward arc
+            while amount:
+                origin, held = arrived[i]
+                moved = min(held, amount)
+                if to[e] == sink:
+                    plan[origin, x] = plan.get((origin, x), 0) + moved
+                else:
+                    out = parcels[to[e]]
+                    out[origin] = out.get(origin, 0) + moved
+                amount -= moved
+                if moved == held:
+                    i += 1
+                else:
+                    arrived[i] = (origin, held - moved)
+    return total, plan, [d >= 0 for d in level[:size]]
 
 
 def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CouplingResult:
     """Decide whether the level-n restriction of P can be coupled below Q.
 
-    Feasibility returns the transportation plan; infeasibility returns the
-    up-closure of the min-cut side, a monotone set U with P(U) > Q(U).
+    The masses are scaled to integers by the lcm of the level's
+    denominators and sent through an integer max flow on the Hasse diagram
+    of {0,1}^n, which by Strassen's theorem has the same value as the flow
+    over all pairs x <= y.  Feasibility returns the transportation plan;
+    infeasibility returns the residual-reachable side of the min cut: the
+    inclusion-minimal upper set U maximizing P(U) - Q(U), with P(U) > Q(U).
     """
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
-    p_mass = {x: P.mass(x) for x in all_words(n)}
-    q_mass = {y: Q.mass(y) for y in all_words(n)}
-    total, edge_flows, reachable_p = _maxflow_level(p_mass, q_mass, n)
-    supply = sum(p_mass.values(), Fraction(0))
-    if total == supply:
-        witness = CouplingWitness(edge_flows)
-        return CouplingResult(coupled=True, witness=witness, certificate=None)
-    upper = sorted(
-        y for y in all_words(n) if any(leq_words(x, y) for x in reachable_p)
-    )
-    p_u = sum((p_mass[x] for x in upper), Fraction(0))
-    q_u = sum((q_mass[y] for y in upper), Fraction(0))
+    words = all_words(n)
+    p_mass = [P.mass(x) for x in words]
+    q_mass = [Q.mass(y) for y in words]
+    scale = lcm(*(m.denominator for m in p_mass + q_mass))
+    supply = [m.numerator * (scale // m.denominator) for m in p_mass]
+    demand = [m.numerator * (scale // m.denominator) for m in q_mass]
+    total, plan, reachable = _hasse_flow(n, supply, demand)
+    if total == sum(supply):
+        flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
+        return CouplingResult(coupled=True, witness=CouplingWitness(flow), certificate=None)
+    upper = [x for x, inside in enumerate(reachable) if inside]
+    p_u = Fraction(sum(supply[x] for x in upper), scale)
+    q_u = Fraction(sum(demand[x] for x in upper), scale)
     if not p_u > q_u:
         raise AssertionError("min-cut certificate failed to separate the masses")
     return CouplingResult(
-        coupled=False, witness=None, certificate=upper, p_mass=p_u, q_mass=q_u
+        coupled=False,
+        witness=None,
+        certificate=[words[x] for x in upper],
+        p_mass=p_u,
+        q_mass=q_u,
     )
 
 
@@ -314,5 +357,6 @@ def sparsity_value(test: ExtendedTest, x: str) -> Fraction:
             v = test.values[y]
             if best is None or v < best:
                 best = v
-    assert best is not None
+    if best is None:
+        raise AssertionError(f"no leaf dominates {x!r}")
     return best

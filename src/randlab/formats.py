@@ -65,9 +65,18 @@ def _meaningful_lines(text: str) -> list[str]:
     return lines
 
 
-def parse_measure_spec_file(path: str) -> MeasureSpec:
+def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> MeasureSpec:
     """One construct per file: `bernoulli p` | `table depth` + leaf lines |
-    `mix` + weighted sub-spec lines (paths relative to this file)."""
+    `mix` + weighted sub-spec lines (paths relative to this file).
+
+    `including` holds the resolved paths of the `mix` files whose parsing is
+    still open above this one; a file that includes itself, directly or
+    through others, is a parse error.  A file may appear under several
+    parents.
+    """
+    resolved = os.path.realpath(path)
+    if resolved in including:
+        raise ParseError(f"measure spec {path!r} includes itself")
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
@@ -100,7 +109,7 @@ def parse_measure_spec_file(path: str) -> MeasureSpec:
                 weight_token, sub = line.split(maxsplit=1)
                 weights.append(parse_rational(weight_token))
                 sub_path = sub if os.path.isabs(sub) else os.path.join(base, sub)
-                parts.append(parse_measure_spec_file(sub_path))
+                parts.append(parse_measure_spec_file(sub_path, including + (resolved,)))
             return Mixture(tuple(weights), tuple(parts))
     except (ParseError, MeasureError):
         raise  # a bad table is a certified violation, not a parse failure

@@ -8,7 +8,9 @@ table: no universality is attempted.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .exact import INF
@@ -37,9 +39,13 @@ class MachineError(ValueError):
 
 
 class PrefixMachine:
-    """Finite map from programs to outputs with a prefix-free domain."""
+    """Finite map from programs to outputs with a prefix-free domain.
 
-    __slots__ = ("entries",)
+    Treat instances as immutable: the output-mass table is built on first
+    use and kept.
+    """
+
+    __slots__ = ("entries", "_output_mass")
 
     def __init__(self, entries: Mapping[str, str]):
         table = {}
@@ -53,6 +59,13 @@ class PrefixMachine:
                     (first, second),
                 )
         self.entries = table
+        self._output_mass: Mapping[str, Fraction] | None = None
+
+    def output_mass(self) -> Mapping[str, Fraction]:
+        """:func:`semimeasure_table` of this machine, built once, read-only."""
+        if self._output_mass is None:
+            self._output_mass = MappingProxyType(semimeasure_table(self))
+        return self._output_mass
 
     def kraft_sum(self) -> Fraction:
         return sum(
@@ -71,11 +84,12 @@ class MonotoneMachine:
     def __init__(self, entries: Iterable[tuple[str, str]]):
         pairs = sorted({(validate_bits(p), validate_bits(o)) for p, o in entries})
         for i, (p, out) in enumerate(pairs):
-            for q, out2 in pairs[i + 1 :]:
-                comparable = p.startswith(q) or q.startswith(p)
-                if comparable and not (
-                    out.startswith(out2) or out2.startswith(out)
-                ):
+            # The later pairs whose program is comparable to p are those
+            # extending p, and in sorted order they directly follow pair i.
+            for q, out2 in itertools.islice(pairs, i + 1, None):
+                if not q.startswith(p):
+                    break
+                if not (out.startswith(out2) or out2.startswith(out)):
                     raise MachineError(
                         f"entries ({p!r} -> {out!r}) and ({q!r} -> {out2!r}) "
                         "have comparable programs but incomparable outputs",
@@ -117,7 +131,11 @@ def discrete_semimeasure(machine: PrefixMachine, x: str) -> Fraction:
 
 
 def semimeasure_table(machine: PrefixMachine) -> dict[str, Fraction]:
-    """Output mass per produced word (words not produced are absent)."""
+    """Output mass per produced word (words not produced are absent).
+
+    Builds a fresh table; :meth:`PrefixMachine.output_mass` keeps one per
+    machine for repeated lookups.
+    """
     table: dict[str, Fraction] = {}
     for program, output in machine.entries.items():
         table[output] = table.get(output, Fraction(0)) + Fraction(1, 2 ** len(program))
@@ -135,8 +153,13 @@ def semimeasure_total(machine: PrefixMachine) -> Fraction:
 def monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Fraction:
     """Coin-flip probability that the machine output begins with x.
 
-    Every input word of length `horizon` is evaluated; the horizon must cover
-    the whole program table so longer inputs cannot change the verdict.
+    The entries that apply to one input have pairwise comparable programs,
+    so their outputs are pairwise comparable too, and the output begins with
+    a nonempty x exactly when one of them has an output extending x.  The
+    probability is therefore the sum of 2^-|p| over the minimal programs p
+    whose output extends x; every output begins with x = "".  The horizon
+    must cover the whole program table, so longer inputs cannot change the
+    verdict; no input is enumerated.
     """
     validate_bits(x)
     if horizon < machine.max_program_length():
@@ -144,8 +167,15 @@ def monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Frac
             f"horizon {horizon} below the maximal program length "
             f"{machine.max_program_length()}"
         )
-    hits = sum(1 for p in all_words(horizon) if machine.output(p).startswith(x))
-    return Fraction(hits, 2 ** horizon)
+    if not x:
+        return Fraction(1)
+    hits = 0
+    minimal = None  # last minimal program; entries are sorted by program
+    for p, out in machine.entries:
+        if out.startswith(x) and (minimal is None or not p.startswith(minimal)):
+            hits += 1 << (horizon - len(p))
+            minimal = p
+    return Fraction(hits, 1 << horizon)
 
 
 def canonical_machine(max_len: int = 6) -> PrefixMachine:

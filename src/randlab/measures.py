@@ -246,6 +246,8 @@ def count_upcrossings(omega: str, x: str, alpha: Fraction, beta: Fraction) -> in
 
     A crossing is counted when a value strictly below alpha is later followed
     by a value strictly above beta, with no completed crossing in between.
+    One pass: the hit count of the first n shifts is kept running, and
+    hits/n is compared with the thresholds by integer cross-multiplication.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 < alpha < beta:
@@ -255,14 +257,17 @@ def count_upcrossings(omega: str, x: str, alpha: Fraction, beta: Fraction) -> in
     n_max = len(omega) - len(x) + 1
     if n_max < 1:
         raise ValueError("word too short for a single block average")
+    a_num, a_den = alpha.numerator, alpha.denominator
+    b_num, b_den = beta.numerator, beta.denominator
     count = 0
+    hits = 0
     armed = False
     for n in range(1, n_max + 1):
-        value = block_frequency(omega, x, n)
+        hits += omega.startswith(x, n - 1)
         if not armed:
-            if value < alpha:
+            if hits * a_den < a_num * n:
                 armed = True
-        elif value > beta:
+        elif hits * b_den > b_num * n:
             count += 1
             armed = False
     return count

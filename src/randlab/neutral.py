@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Ext, INF, div_ratio
-from .machines import PrefixMachine, semimeasure_table
+from .machines import PrefixMachine
 from .measures import validate_bits
 
 __all__ = [
@@ -84,7 +84,7 @@ def mixture_deficiency(
         validate_bits(omega)
         if len(omega) < depth:
             raise ValueError("every sequence must be at least `depth` long")
-    mass = semimeasure_table(machine)
+    mass = machine.output_mass()
     omega_i = sequences[i]
     total: Ext = Fraction(0)
     for length in range(depth + 1):
@@ -145,8 +145,10 @@ def sperner_search(
     labelled cell; Sperner's lemma guarantees one exists.
 
     Each grid point is labelled with the smallest supported index whose
-    deficiency there is at most 1.  The admissibility of that rule is exactly
-    the machine's output-mass budget; if it ever fails,
+    deficiency there is at most 1.  Every label reads the machine's output
+    mass from the one table that :meth:`PrefixMachine.output_mass` keeps, so
+    a search builds it at most once.  The admissibility of that rule is
+    exactly the machine's output-mass budget; if it ever fails,
     :class:`NeutralInvariantError` is raised.
     """
     k = len(sequences)

@@ -112,7 +112,8 @@ def squarefree_part(p: UnivariatePoly) -> UnivariatePoly:
     if g.degree <= 0:
         return p
     q, r = p.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise AssertionError("gcd(p, p') does not divide p")
     return q
 
 

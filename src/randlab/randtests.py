@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .exact import INF, Ext, div_ratio, fmt, is_inf, is_power_of_two, ceil_log2, floor_log2, mul_nonneg
-from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob, semimeasure_table
+from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
 from .measures import DyadicMeasure, all_words, validate_bits
 
 __all__ = [
@@ -182,7 +182,7 @@ def sum_test_values(
     Returns (values, flags); `flags[x]` marks a 0/0 ratio somewhere on the
     path to x (the ratio is taken as 0 by convention).
     """
-    mass = semimeasure_table(machine)
+    mass = machine.output_mass()
     values: dict[str, Ext] = {}
     flags: dict[str, bool] = {}
     for length in range(measure.depth + 1):
@@ -281,7 +281,7 @@ def deficiency_profile(
 
     rows = []
     running_sup: Ext = Fraction(0)
-    mass = semimeasure_table(machine)
+    mass = machine.output_mass()
     for length in range(len(x) + 1):
         t = x[:length]
         ratio, _ = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
@@ -394,29 +394,35 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> ProbBoundRep
 
     The tail mass is a step function of N that only changes at leaf values,
     so the bound holds for all N exactly when v * P{T >= v} <= 1 at every
-    distinct positive leaf value v.  On failure the witness is a rational N
-    strictly between the previous value and v with P{T > N} > 1/N.
+    distinct positive leaf value v.  The leaf masses are grouped by value
+    once, and each tail P{T >= v} is a suffix sum over the sorted values.
+    On failure the witness is a rational N strictly between the previous
+    value and v with P{T > N} > 1/N; no leaf value lies in that gap, so
+    P{T > N} is the tail at v.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
-    leaves = test.leaves()
-    distinct = sorted({v for _, v in leaves})
+    mass_at: dict[Fraction, Fraction] = {}
+    for x, v in test.leaves():
+        mass_at[v] = mass_at.get(v, Fraction(0)) + measure.mass(x)
+    distinct = sorted(mass_at)
+    tails: dict[Fraction, Fraction] = {}
+    running = Fraction(0)
+    for v in reversed(distinct):
+        running += mass_at[v]
+        tails[v] = running
     rows = []
     witness = None
     previous = Fraction(0)
     for v in distinct:
         if v == 0:
             continue
-        tail = sum((measure.mass(x) for x, val in leaves if val >= v), Fraction(0))
+        tail = tails[v]
         ok_v = v * tail <= 1
         rows.append((f"value={fmt(v)}", fmt(tail), fmt(v * tail), "pass" if ok_v else "fail"))
         if not ok_v and witness is None:
             lower = max(previous, 1 / tail)
-            n_witness = (lower + v) / 2
-            tail_at_witness = sum(
-                (measure.mass(x) for x, val in leaves if val > n_witness), Fraction(0)
-            )
-            witness = (n_witness, tail_at_witness)
+            witness = ((lower + v) / 2, tail)
         previous = v
     return ProbBoundReport(ok=witness is None, rows=rows, witness=witness)
 

@@ -86,7 +86,8 @@ def _normalizer_bound() -> Fraction:
     off by the exact geometric tail formula at r.
     """
     r = Fraction(871, 1000)
-    assert 2 * r ** 5 >= 1
+    if 2 * r ** 5 < 1:
+        raise AssertionError("ratio below 2^(-1/5): the bound would not be certified")
     partial = sum((k * r ** k for k in range(1, 51)), Fraction(0))
     tail = r ** 51 * (51 * (1 - r) + r) / (1 - r) ** 2
     return partial + tail

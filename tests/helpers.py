@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from randlab.machines import MonotoneMachine, PrefixMachine
-from randlab.measures import DyadicMeasure, all_words
+from randlab.measures import DyadicMeasure, all_words, block_frequency
 from randlab.randtests import ExtendedTest, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -86,3 +86,24 @@ def random_monotone_test(rng: random.Random, measure: DyadicMeasure, depth: int)
 
 def random_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
+
+
+def reference_upcrossings(omega: str, x: str, alpha: Fraction, beta: Fraction) -> int:
+    """Upcrossing count with `block_frequency` recomputed at every n: the
+    quadratic definition that `count_upcrossings` must agree with."""
+    count = 0
+    armed = False
+    for n in range(1, len(omega) - len(x) + 2):
+        value = block_frequency(omega, x, n)
+        if not armed:
+            armed = value < alpha
+        elif value > beta:
+            count += 1
+            armed = False
+    return count
+
+
+def reference_monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Fraction:
+    """Output probability by running every input of length `horizon`."""
+    hits = sum(1 for p in all_words(horizon) if machine.output(p).startswith(x))
+    return Fraction(hits, 2 ** horizon)

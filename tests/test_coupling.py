@@ -154,7 +154,7 @@ def test_flow_feasibility_matches_scipy_beyond_criterion_cap():
     from scipy.sparse.csgraph import maximum_flow
 
     rng = random.Random(59)
-    for n in (5, 6):
+    for n in (5, 6, 7, 8):
         for _ in range(8):
             p = random_dyadic_measure(rng, n)
             q = random_dyadic_measure(rng, n)
@@ -163,16 +163,42 @@ def test_flow_feasibility_matches_scipy_beyond_criterion_cap():
                 *[p.mass(w).denominator for w in words],
                 *[q.mass(w).denominator for w in words],
             )
+            assert denom < 2 ** 31  # scipy's max flow runs on int32 capacities
             size = 2 + 2 * len(words)
             cap = np.zeros((size, size), dtype=np.int64)
+            index = np.arange(len(words))
+            below = (index[:, None] & index[None, :]) == index[:, None]  # x <= y bitwise
+            cap[1 : 1 + len(words), 1 + len(words) : size - 1] = np.where(below, denom, 0)
             for i, x in enumerate(words):
                 cap[0, 1 + i] = int(p.mass(x) * denom)
                 cap[1 + len(words) + i, size - 1] = int(q.mass(x) * denom)
-                for j, y in enumerate(words):
-                    if leq_words(x, y):
-                        cap[1 + i, 1 + len(words) + j] = denom
             flow = maximum_flow(csr_matrix(cap), 0, size - 1).flow_value
-            assert is_coupled_below(p, q, n).coupled == (flow == denom)
+            result = is_coupled_below(p, q, n)
+            assert result.coupled == (flow == denom)
+            if not result.coupled:
+                # the certificate attains the min cut: P(U) - Q(U) = 1 - max flow
+                assert result.p_mass - result.q_mass == 1 - F(int(flow), denom)
+
+
+def test_certificate_is_the_minimal_maximizing_upper_set():
+    rng = random.Random(61)
+    seen = 0
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        p = random_dyadic_measure(rng, n)
+        q = random_dyadic_measure(rng, n)
+        result = is_coupled_below(p, q, n)
+        if result.coupled:
+            continue
+        seen += 1
+        gap = {u: sum((p.mass(x) - q.mass(x) for x in u), F(0)) for u in enumerate_upper_sets(n)}
+        best = max(gap.values())
+        maximizers = [u for u, g in gap.items() if g == best]
+        minimal = frozenset.intersection(*maximizers)
+        assert minimal in maximizers
+        assert result.certificate == sorted(minimal)
+        assert result.p_mass - result.q_mass == best
+    assert seen > 20
 
 
 def test_sparsity_monotone_in_coordinatewise_order():

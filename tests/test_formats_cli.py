@@ -44,6 +44,35 @@ def test_parse_mix_spec_resolves_relative_paths(tmp_path):
     assert m.mass("1") == F(1, 3) * F(1, 2)
 
 
+def test_mix_spec_including_itself_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "self.measure", "mix\n1 self.measure\n")
+    with pytest.raises(ParseError, match="includes itself"):
+        parse_measure_spec_file(path)
+    assert main(["validate-measure", path, "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "includes itself" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_mix_spec_two_file_cycle_is_a_parse_error(tmp_path):
+    write(tmp_path, "a.measure", "mix\n1/2 b.measure\n1/2 u.measure\n")
+    write(tmp_path, "b.measure", "mix\n1/1 sub/../a.measure\n")
+    write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ParseError, match="includes itself"):
+        parse_measure_spec_file(str(tmp_path / "a.measure"))
+
+
+def test_mix_spec_diamond_parses(tmp_path):
+    write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    write(tmp_path, "z.measure", "bernoulli 0/1\n")
+    write(tmp_path, "left.measure", "mix\n1/2 u.measure\n1/2 z.measure\n")
+    write(tmp_path, "right.measure", "mix\n1/4 u.measure\n3/4 z.measure\n")
+    top = write(tmp_path, "top.measure", "mix\n1/2 left.measure\n1/2 right.measure\n")
+    m = realize(parse_measure_spec_file(top), 1)
+    assert m.mass("1") == F(1, 2) * F(1, 4) + F(1, 2) * F(1, 8)
+
+
 def test_parse_sequence_ignores_whitespace(tmp_path):
     path = write(tmp_path, "s.seq", "01 10\n1\t1\n")
     assert parse_sequence_file(path) == "011011"

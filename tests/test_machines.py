@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_monotone_machine, random_prefix_machine
+from helpers import random_monotone_machine, random_prefix_machine, reference_monotone_output_prob
 from randlab.exact import INF
 from randlab.machines import (
     MachineError,
@@ -113,3 +114,20 @@ def test_canonical_monotone_machine_is_copy():
     mm = canonical_monotone_machine()
     assert monotone_output_prob(mm, "010", 3) == F(1, 8)
     assert monotone_output_prob(mm, "", 3) == 1
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+    max_len=st.integers(min_value=0, max_value=8),
+    extra=st.integers(min_value=0, max_value=2),
+    xs=st.lists(st.text(alphabet="01", min_size=1, max_size=5), max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_monotone_output_prob_matches_input_enumeration(seed, max_len, extra, xs):
+    rng = random.Random(seed)
+    mm = random_monotone_machine(rng, max_len)
+    horizon = min(8, mm.max_program_length() + extra)
+    produced = [out[:k] for _, out in mm.entries for k in range(1, len(out) + 1)]
+    for x in ["", *xs, *rng.sample(produced, min(3, len(produced)))]:
+        expected = reference_monotone_output_prob(mm, x, horizon)
+        assert monotone_output_prob(mm, x, horizon) == expected

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from helpers import reference_upcrossings
 from randlab.measures import (
     Bernoulli,
     DyadicMeasure,
@@ -132,6 +133,19 @@ def test_upcrossings_nondecreasing_under_extension(omega, extra):
     assert count_upcrossings(omega + extra, "1", alpha, beta) >= count_upcrossings(
         omega, "1", alpha, beta
     )
+
+
+@given(
+    omega=st.text(alphabet="01", min_size=1, max_size=120),
+    x=st.text(alphabet="01", max_size=3),
+    den=st.integers(min_value=2, max_value=12),
+    lo=st.integers(min_value=1, max_value=11),
+    width=st.integers(min_value=1, max_value=11),
+)
+def test_upcrossings_match_block_frequency_reference(omega, x, den, lo, width):
+    assume(len(x) <= len(omega))
+    alpha, beta = F(lo, den), F(lo + width, den)
+    assert count_upcrossings(omega, x, alpha, beta) == reference_upcrossings(omega, x, alpha, beta)
 
 
 @pytest.mark.parametrize("name,spec", sorted(shipped_measure_specs().items()))

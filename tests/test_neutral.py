@@ -152,3 +152,23 @@ def test_random_mixtures_respect_budget_identity():
             assert not is_inf(v)
             average += mix.weights[i] * v
         assert average <= 1
+
+
+def test_search_builds_the_machine_table_once(monkeypatch):
+    import randlab.machines as machines
+
+    builds = []
+    build = machines.semimeasure_table
+
+    def counting(machine):
+        builds.append(machine)
+        return build(machine)
+
+    monkeypatch.setattr(machines, "semimeasure_table", counting)
+    seqs = ["0" * 6, "01" * 3, "11" * 3]
+    first, second = canonical_machine(), canonical_machine()
+    sperner_search(seqs, first, 6, 12)
+    assert builds == [first]
+    sperner_search(seqs, first, 6, 16)
+    sperner_search(seqs, second, 6, 12)
+    assert builds == [first, second]

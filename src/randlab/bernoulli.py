@@ -8,7 +8,7 @@ nonnegativity on [0, 1] with Sturm sequences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional
@@ -16,13 +16,12 @@ from typing import Mapping, Optional
 from .exact import fmt
 from .measures import all_words, bernoulli_mass, validate_bits
 from .poly import UnivariatePoly, constant, nonneg_on_unit_interval
-from .randtests import ExtendedTest
+from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
 __all__ = [
     "CombinatorialTest",
     "words_with_ones",
     "class_average",
-    "CombinatorialReport",
     "validate_combinatorial_test",
     "extension_values",
     "extend_by_monotonicity",
@@ -30,7 +29,6 @@ __all__ = [
     "UrnReport",
     "replacement_domination_check",
     "bernoulli_poly",
-    "CertifyReport",
     "certify_bernoulli_test",
 ]
 
@@ -57,38 +55,25 @@ def class_average(f: Mapping[str, Fraction], n: int, k: int) -> Fraction:
     return total / comb(n, k)
 
 
-@dataclass
-class CombinatorialReport:
-    ok: bool
-    rows: list[tuple[str, str, str, str]] = field(default_factory=list)
-    first_violation: Optional[str] = None
-
-    def tsv_rows(self):
-        return self.rows
-
-
 def validate_combinatorial_test(
     f: Mapping[str, Fraction] | ExtendedTest, depth: int
-) -> CombinatorialReport:
-    """Check monotonicity and the B(n, k) average bound for every n <= depth."""
+) -> Verdict:
+    """Check monotonicity and the B(n, k) average bound for every n <= depth.
+
+    Every non-monotone child gets a row; the witness is a message naming
+    the first violation.
+    """
     values = f.values if isinstance(f, ExtendedTest) else dict(f)
     rows: list[tuple[str, str, str, str]] = []
     first: Optional[str] = None
     for length in range(depth + 1):
         for x in all_words(length):
             if x not in values:
-                return CombinatorialReport(
-                    False,
-                    [(x, "-", "-", "missing")],
-                    f"value missing at {x!r}",
-                )
-    for length in range(depth):
-        for x in all_words(length):
-            for b in "01":
-                if values[x] > values[x + b]:
-                    rows.append((x + b, fmt(values[x + b]), fmt(values[x]), "non-monotone"))
-                    if first is None:
-                        first = f"monotonicity fails at {(x + b)!r}"
+                return Verdict(False, [(x, "-", "-", "missing")], f"value missing at {x!r}")
+    for child in _non_monotone_children(values, depth):
+        rows.append((child, fmt(values[child]), fmt(values[child[:-1]]), "non-monotone"))
+        if first is None:
+            first = f"monotonicity fails at {child!r}"
     for n in range(depth + 1):
         for k in range(n + 1):
             average = class_average(values, n, k)
@@ -98,7 +83,7 @@ def validate_combinatorial_test(
             )
             if not ok_class and first is None:
                 first = f"class average at B({n},{k}) is {average} > 1"
-    return CombinatorialReport(ok=first is None, rows=rows, first_violation=first)
+    return Verdict(ok=first is None, rows=rows, witness=first)
 
 
 def extension_values(
@@ -128,12 +113,12 @@ def extend_by_monotonicity(
     depth = max(len(x) for x in values)
     base = validate_combinatorial_test(values, depth)
     if not base.ok:
-        raise ValueError(f"input is not a combinatorial test: {base.first_violation}")
+        raise ValueError(f"input is not a combinatorial test: {base.witness}")
     extended_values = extension_values(values, n_target)
     extended = validate_combinatorial_test(extended_values, n_target)
     if not extended.ok:
         raise AssertionError(
-            f"monotone extension broke validity: {extended.first_violation}"
+            f"monotone extension broke validity: {extended.witness}"
         )
     return CombinatorialTest(n_target, extended_values)
 
@@ -234,19 +219,10 @@ def bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
     return result
 
 
-@dataclass
-class CertifyReport:
-    ok: bool
-    rows: list[tuple[str, str, str, str]] = field(default_factory=list)
-    witness: Optional[tuple[int, Fraction]] = None  # (level, p with average > 1)
-
-    def tsv_rows(self):
-        return self.rows
-
-
-def certify_bernoulli_test(test: ExtendedTest) -> CertifyReport:
+def certify_bernoulli_test(test: ExtendedTest) -> Verdict:
     """Decide, level by level, whether the coin average stays below 1 for
-    every p in [0, 1].  A failing level carries an exact rational witness p.
+    every p in [0, 1].  A failing level carries an exact rational witness p;
+    the verdict's witness is (level, p) for the first such level.
     """
     rows = []
     witness: Optional[tuple[int, Fraction]] = None
@@ -264,4 +240,4 @@ def certify_bernoulli_test(test: ExtendedTest) -> CertifyReport:
         )
         if not ok_level and witness is None:
             witness = (n, bad_p)
-    return CertifyReport(ok=witness is None, rows=rows, witness=witness)
+    return Verdict(ok=witness is None, rows=rows, witness=witness)

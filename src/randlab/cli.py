@@ -2,8 +2,14 @@
 
 Exit codes: 0 when every asserted property holds, 1 for a certified
 violation (the report carries a machine-checkable witness), 2 for usage,
-parse, or capability errors.  Output is TSV with a header row, on stdout or
-`--out`, and is byte-for-byte deterministic for identical inputs.
+parse, or capability errors, 3 for an internal failure (a broken invariant
+or any other unexpected exception), reported as one stderr line.  Output is
+TSV with a header row, on stdout or `--out`, and is byte-for-byte
+deterministic for identical inputs.
+
+Each subcommand is one row of `SUBCOMMANDS`: a help line, its argument
+specs, and a `run(args)` that returns `(header, rows, ok)`.  `main` is the
+one place that renders a report, writes it, and maps `ok` to an exit code.
 """
 from __future__ import annotations
 
@@ -37,65 +43,43 @@ from .machines import (
     semimeasure_table,
     semimeasure_total,
 )
-from .measures import (
-    DyadicMeasure,
-    MeasureError,
-    all_words,
-    count_upcrossings,
-    realize,
-)
+from .measures import MeasureError, all_words, count_upcrossings, realize
 
-OK, VIOLATION, USAGE = 0, 1, 2
+OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
+VERDICT = ("prefix", "value", "bound", "verdict")
+UPPER_SET = ("upper_set_word", "P(U)", "Q(U)")
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+# Argument specs: a bare name is a positional argument, otherwise (flag, options).
+OUT = ("--out", {"help": "write the report to this path"})
+MEASURE = ("--measure", {"required": True, "help": "measure spec file"})
+DEPTH = ("--depth", {"type": int, "default": None})
+NEEDS_DEPTH = ("--depth", {"type": int, "required": True})
+MACHINE = ("--machine", {"action": "append", "help": "machine table file"})
+MODE = ("--mode", {"choices": ("martingale", "supermartingale"), "default": "martingale"})
 
 
-def _load_measure(args, depth: int) -> DyadicMeasure:
-    spec = parse_measure_spec_file(args.measure)
-    return realize(spec, depth)
-
-
-def _cmd_validate_measure(args) -> int:
+def _validate_measure(args):
     spec = parse_measure_spec_file(args.spec)
     try:
         measure = realize(spec, args.depth)
     except MeasureError as exc:
-        _emit(
-            render_tsv(
-                ("prefix", "value", "bound", "verdict"),
-                [(format_word(exc.prefix or ""), "-", "-", "fail")],
-            ),
-            args.out,
-        )
-        return VIOLATION
-    rows = []
-    for length in range(measure.depth + 1):
-        level_sum = sum((mass for _, mass in measure.level(length)), Fraction(0))
-        rows.append((f"len={length}", fmt(level_sum), fmt(1), "pass"))
-    _emit(render_tsv(("prefix", "value", "bound", "verdict"), rows), args.out)
-    return OK
+        return VERDICT, [(format_word(exc.prefix or ""), "-", "-", "fail")], False
+    sums = [sum((m for _, m in measure.level(n)), Fraction(0)) for n in range(measure.depth + 1)]
+    return VERDICT, [(f"len={n}", fmt(total), fmt(1), "pass") for n, total in enumerate(sums)], True
 
 
-def _cmd_validate_test(args) -> int:
+def _validate_test(args):
     test = parse_test_file(args.test)
-    measure = _load_measure(args, args.depth if args.depth is not None else test.depth)
-    report = rt.validate_extended_test(test, measure)
-    _emit(render_tsv(("prefix", "value", "bound", "verdict"), report.tsv_rows()), args.out)
-    return OK if report.ok else VIOLATION
+    depth = args.depth if args.depth is not None else test.depth
+    verdict = rt.validate_extended_test(test, realize(parse_measure_spec_file(args.measure), depth))
+    return VERDICT, verdict.rows, verdict.ok
 
 
-def _cmd_deficiency(args) -> int:
+def _deficiency(args):
     sequence = parse_sequence_file(args.sequence)
-    prefix_machine: PrefixMachine | None = None
-    monotone_machine: MonotoneMachine | None = None
-    for path in args.machine or []:
-        machine = parse_machine_file(path)
+    prefix_machine, monotone_machine = None, None
+    for machine in map(parse_machine_file, args.machine or []):
         if isinstance(machine, PrefixMachine):
             prefix_machine = machine
         else:
@@ -105,171 +89,116 @@ def _cmd_deficiency(args) -> int:
     depth = args.depth if args.depth is not None else min(len(sequence), 6)
     if len(sequence) < depth:
         raise ParseError("sequence shorter than the requested depth")
-    measure = _load_measure(args, depth)
-    profile = rt.deficiency_profile(
-        prefix_machine, monotone_machine, measure, sequence[:depth]
-    )
-    header = (
-        "prefix",
-        "m_ratio",
-        "sum",
-        "sup",
-        "tbar",
-        "that",
-        "M_ratio",
-        "flag",
-        "sum_over_sup",
-    )
-    _emit(render_tsv(header, profile.tsv_rows()), args.out)
-    return OK
+    measure = realize(parse_measure_spec_file(args.measure), depth)
+    profile = rt.deficiency_profile(prefix_machine, monotone_machine, measure, sequence[:depth])
+    header = ("prefix", "m_ratio", "sum", "sup", "tbar", "that", "M_ratio", "flag", "sum_over_sup")
+    return header, profile.tsv_rows(), True
 
 
-def _cmd_min_extension(args) -> int:
+def _min_extension(args):
     test = parse_test_file(args.test)
     x = parse_word(args.prefix)
-    value = rt.min_extension(test, x)
-    _emit(
-        render_tsv(("prefix", "value", "bound", "verdict"), [(format_word(x), fmt(value), "-", "ok")]),
-        args.out,
-    )
-    return OK
+    return VERDICT, [(format_word(x), fmt(rt.min_extension(test, x)), "-", "ok")], True
 
 
-def _cmd_cond_average(args) -> int:
+def _cond_average(args):
     test = parse_test_file(args.test)
     x = parse_word(args.prefix)
-    measure = _load_measure(args, test.depth)
+    measure = realize(parse_measure_spec_file(args.measure), test.depth)
     value = rt.conditional_average(test, measure, x)
     flagged = measure.mass(x) == 0 and value == 0
-    _emit(
-        render_tsv(
-            ("prefix", "value", "bound", "verdict"),
-            [(format_word(x), fmt(value), "-", "flagged" if flagged else "ok")],
-        ),
-        args.out,
-    )
-    return OK
+    return VERDICT, [(format_word(x), fmt(value), "-", "flagged" if flagged else "ok")], True
 
 
-def _cmd_martingale(args) -> int:
+def _martingale(args):
     test = parse_test_file(args.g)
-    measure = _load_measure(args, test.depth)
+    measure = realize(parse_measure_spec_file(args.measure), test.depth)
     report = rt.martingale_check(test.values, measure, args.mode)
-    _emit(render_tsv(("prefix", "lhs", "rhs", "verdict"), report.tsv_rows()), args.out)
-    return OK if report.ok else VIOLATION
+    return ("prefix", "lhs", "rhs", "verdict"), report.tsv_rows(), report.ok
 
 
-def _cmd_prob_check(args) -> int:
+def _prob_check(args):
     test = parse_test_file(args.test)
-    measure = _load_measure(args, test.depth)
-    report = rt.prob_bound_check(test, measure)
-    rows = list(report.tsv_rows())
-    if report.witness is not None:
-        n_value, tail = report.witness
+    verdict = rt.prob_bound_check(test, realize(parse_measure_spec_file(args.measure), test.depth))
+    rows = list(verdict.rows)
+    if verdict.witness is not None:
+        n_value, tail = verdict.witness
         rows.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
-    _emit(render_tsv(("prefix", "value", "bound", "verdict"), rows), args.out)
-    return OK if report.ok else VIOLATION
+    return VERDICT, rows, verdict.ok
 
 
-def _cmd_convert(args) -> int:
+def _convert(args):
     test = parse_test_file(args.test)
-    measure = _load_measure(args, test.depth)
+    measure = realize(parse_measure_spec_file(args.measure), test.depth)
     converted, report = rt.prob_to_avg_convert(test, measure)
     rows = [
         (format_word(x), fmt(v), "-", "value")
         for x, v in sorted(converted.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
-    rows.extend(report.tsv_rows())
-    _emit(render_tsv(("prefix", "value", "bound", "verdict"), rows), args.out)
-    return OK if report.ok else VIOLATION
+    return VERDICT, rows + report.tsv_rows(), report.ok
 
 
-def _cmd_bernoulli_validate(args) -> int:
+def _bernoulli_validate(args):
     test = parse_test_file(args.test)
-    report = bl.validate_combinatorial_test(test, test.depth)
-    _emit(render_tsv(("class", "average", "bound", "verdict"), report.tsv_rows()), args.out)
-    return OK if report.ok else VIOLATION
+    verdict = bl.validate_combinatorial_test(test, test.depth)
+    return ("class", "average", "bound", "verdict"), verdict.rows, verdict.ok
 
 
-def _cmd_bernoulli_extend(args) -> int:
+def _bernoulli_extend(args):
     test = parse_test_file(args.test)
-    if args.depth is None:
-        raise ParseError("--depth (target) is required for bernoulli-extend")
-    extended = bl.extend_by_monotonicity(test, args.depth)
-    _emit(render_test_file(extended), args.out)
-    return OK
+    return None, render_test_file(bl.extend_by_monotonicity(test, args.depth)), True
 
 
-def _cmd_urn_check(args) -> int:
+def _urn_check(args):
     report = bl.replacement_domination_check(args.n)
-    _emit(
-        render_tsv(("n", "factor", "max_ratio", "argmax", "verdict"), report.tsv_rows()),
-        args.out,
-    )
-    return OK if report.ok else VIOLATION
+    return ("n", "factor", "max_ratio", "argmax", "verdict"), report.tsv_rows(), report.ok
 
 
-def _cmd_certify_bernoulli(args) -> int:
-    test = parse_test_file(args.test)
-    report = bl.certify_bernoulli_test(test)
-    _emit(render_tsv(("level", "degree", "verdict", "witness"), report.tsv_rows()), args.out)
-    return OK if report.ok else VIOLATION
+def _certify_bernoulli(args):
+    verdict = bl.certify_bernoulli_test(parse_test_file(args.test))
+    return ("level", "degree", "verdict", "witness"), verdict.rows, verdict.ok
 
 
-def _cmd_coupling(args) -> int:
+def _lower_upper(args):
     lower = realize(parse_measure_spec_file(args.lower), args.depth)
-    upper = realize(parse_measure_spec_file(args.upper), args.depth)
-    result = cp.is_coupled_below(lower, upper, args.depth)
+    return lower, realize(parse_measure_spec_file(args.upper), args.depth)
+
+
+def _coupling(args):
+    result = cp.is_coupled_below(*_lower_upper(args), args.depth)
     if result.coupled:
-        rows = [
-            (x, y, fmt(v))
-            for (x, y), v in sorted(result.witness.flow.items())
-        ]
-        _emit(render_tsv(("x", "y", "flow"), rows), args.out)
-        return OK
+        rows = [(x, y, fmt(v)) for (x, y), v in sorted(result.witness.flow.items())]
+        return ("x", "y", "flow"), rows, True
     rows = [(y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.certificate]
-    _emit(render_tsv(("upper_set_word", "P(U)", "Q(U)"), rows), args.out)
-    return VIOLATION
+    return UPPER_SET, rows, False
 
 
-def _cmd_monotone_criterion(args) -> int:
-    lower = realize(parse_measure_spec_file(args.lower), args.depth)
-    upper = realize(parse_measure_spec_file(args.upper), args.depth)
-    result = cp.monotone_criterion_check(lower, upper, args.depth)
+def _monotone_criterion(args):
+    result = cp.monotone_criterion_check(*_lower_upper(args), args.depth)
     if result.ok:
-        _emit(render_tsv(("upper_set_word", "P(U)", "Q(U)"), [("all", "-", "pass")]), args.out)
-        return OK
-    rows = [
-        (y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.failing_upper_set
-    ]
-    _emit(render_tsv(("upper_set_word", "P(U)", "Q(U)"), rows), args.out)
-    return VIOLATION
+        return UPPER_SET, [("all", "-", "pass")], True
+    rows = [(y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.failing_upper_set]
+    return UPPER_SET, rows, False
 
 
-def _cmd_monotonize(args) -> int:
+def _monotonize(args):
     test = parse_test_file(args.test)
-    leaves = {x: test.values[x] for x in all_words(test.depth)}
-    hull = cp.monotonize(leaves)
-    rows = [(x, fmt(hull[x])) for x in all_words(test.depth)]
-    _emit(render_tsv(("word", "value"), rows), args.out)
-    return OK
+    hull = cp.monotonize({x: test.values[x] for x in all_words(test.depth)})
+    return ("word", "value"), [(x, fmt(hull[x])) for x in all_words(test.depth)], True
 
 
-def _cmd_sparsity(args) -> int:
+def _sparsity(args):
     test = parse_test_file(args.test)
-    measure = _load_measure(args, test.depth)
-    report = rt.validate_extended_test(test, measure)
+    measure = realize(parse_measure_spec_file(args.measure), test.depth)
+    verdict = rt.validate_extended_test(test, measure)
     x = parse_word(args.prefix)
     value = cp.sparsity_value(test, x)
-    rows = list(report.tsv_rows())
-    rows.append(
-        (format_word(x), fmt(value), f"depth-{test.depth}-lower-bound", "ok" if report.ok else "invalid-test")
-    )
-    _emit(render_tsv(("prefix", "value", "bound", "verdict"), rows), args.out)
-    return OK if report.ok else VIOLATION
+    row = (format_word(x), fmt(value), f"depth-{test.depth}-lower-bound",
+           "ok" if verdict.ok else "invalid-test")
+    return VERDICT, verdict.rows + [row], verdict.ok
 
 
-def _cmd_separator(args) -> int:
+def _separator(args):
     p = parse_rational(args.p)
     if args.certify:
         try:
@@ -277,42 +206,25 @@ def _cmd_separator(args) -> int:
         except ValueError as exc:
             raise ParseError("--certify expects an integer block length") from exc
         report = sp.chebyshev_tail_check(n, p)
-        _emit(
-            render_tsv(("n", "p", "mu", "deviating_counts", "verdict"), report.tsv_rows()),
-            args.out,
-        )
-        return OK if report.certified else VIOLATION
+        return ("n", "p", "mu", "deviating_counts", "verdict"), report.tsv_rows(), report.certified
     omega = parse_sequence_file(args.target)
-    report = sp.separator_value(omega, p)
-    rows = list(report.tsv_rows())
+    rows = sp.separator_value(omega, p).tsv_rows()
     if args.class_test:
         class_test = parse_test_file(args.class_test)
-        composite = sp.class_plus_separator(
-            omega[: min(len(omega), class_test.depth)], p, class_test
-        )
-        class_val, sep_val, combined = composite.tsv_rows()[0]
-        rows.append(("composite", class_val, sep_val, combined))
-    _emit(render_tsv(("k", "block", "count", "verdict"), rows), args.out)
-    return OK
+        composite = sp.class_plus_separator(omega[: class_test.depth], p, class_test)
+        rows.append(("composite", *composite.tsv_rows()[0]))
+    return ("k", "block", "count", "verdict"), rows, True
 
 
-def _cmd_upcrossings(args) -> int:
+def _upcrossings(args):
     omega = parse_sequence_file(args.sequence)
     x = parse_word(args.block)
-    alpha = parse_rational(args.alpha)
-    beta = parse_rational(args.beta)
-    count = count_upcrossings(omega, x, alpha, beta)
-    _emit(
-        render_tsv(
-            ("block", "alpha", "beta", "count"),
-            [(format_word(x), fmt(alpha), fmt(beta), str(count))],
-        ),
-        args.out,
-    )
-    return OK
+    alpha, beta = parse_rational(args.alpha), parse_rational(args.beta)
+    row = (format_word(x), fmt(alpha), fmt(beta), str(count_upcrossings(omega, x, alpha, beta)))
+    return ("block", "alpha", "beta", "count"), [row], True
 
 
-def _cmd_neutral(args) -> int:
+def _neutral(args):
     sequences = [parse_sequence_file(path) for path in args.sequences]
     if args.machine:
         machine = parse_machine_file(args.machine[0])
@@ -322,38 +234,63 @@ def _cmd_neutral(args) -> int:
         machine = canonical_machine()
     depth = args.depth if args.depth is not None else min(len(s) for s in sequences)
     cell = nt.sperner_search(sequences, machine, depth, args.resolution)
-    rows = []
-    for mix, label, value in zip(cell.vertices, cell.labels, cell.values):
-        weights = ",".join(fmt(w) for w in mix.weights)
-        rows.append((weights, str(label), fmt(value), fmt(cell.diameter)))
-    _emit(render_tsv(("weights", "label", "value", "diameter"), rows), args.out)
-    return OK
+    rows = [
+        (",".join(fmt(w) for w in mix.weights), str(label), fmt(value), fmt(cell.diameter))
+        for mix, label, value in zip(cell.vertices, cell.labels, cell.values)
+    ]
+    return ("weights", "label", "value", "diameter"), rows, True
 
 
-def _cmd_machine_info(args) -> int:
+def _machine_info(args):
     machine = parse_machine_file(args.machine_file)
     if isinstance(machine, MonotoneMachine):
-        rows = [
-            (format_word(p), format_word(o), "-", "entry") for p, o in machine.entries
-        ]
+        rows = [(format_word(p), format_word(o), "-", "entry") for p, o in machine.entries]
         rows.append(("consistent", "-", "-", "pass"))
-        _emit(render_tsv(("program", "output", "kp", "verdict"), rows), args.out)
-        return OK
+        return ("program", "output", "kp", "verdict"), rows, True
     total = semimeasure_total(machine)
     table = semimeasure_table(machine)
-    rows = []
-    for output in sorted(table, key=lambda w: (len(w), w)):
-        rows.append(
-            (
-                format_word(output),
-                fmt(table[output]),
-                fmt(kp_of(machine, output)),
-                "output",
-            )
-        )
+    rows = [
+        (format_word(output), fmt(table[output]), fmt(kp_of(machine, output)), "output")
+        for output in sorted(table, key=lambda w: (len(w), w))
+    ]
     rows.append(("total", fmt(total), fmt(1), "pass" if total <= 1 else "fail"))
-    _emit(render_tsv(("word", "mass", "kp", "verdict"), rows), args.out)
-    return OK
+    return ("word", "mass", "kp", "verdict"), rows, True
+
+
+#: name -> (help line, argument specs, run); every subcommand also takes `--out`.
+SUBCOMMANDS = {
+    "validate-measure": ("check measure table axioms", ["spec", NEEDS_DEPTH], _validate_measure),
+    "validate-test": ("check extended-test averages", ["test", MEASURE, DEPTH], _validate_test),
+    "deficiency": ("deficiency profile along a sequence",
+                   ["sequence", MEASURE, DEPTH, MACHINE], _deficiency),
+    "min-extension": ("minimal leaf value over extensions", ["test", "prefix"], _min_extension),
+    "cond-average": ("conditional average over a cylinder",
+                     ["test", "prefix", MEASURE], _cond_average),
+    "martingale": ("check the (super)martingale identity", ["g", MEASURE, MODE], _martingale),
+    "prob-check": ("probability-bound check", ["test", MEASURE], _prob_check),
+    "convert": ("probability-bounded to average-bounded", ["test", MEASURE], _convert),
+    "bernoulli-validate": ("combinatorial class averages", ["test"], _bernoulli_validate),
+    "bernoulli-extend": ("extend a test by monotonicity", ["test", NEEDS_DEPTH], _bernoulli_extend),
+    "urn-check": ("without-replacement domination bound", [("n", {"type": int})], _urn_check),
+    "certify-bernoulli": ("Sturm certification per level", ["test"], _certify_bernoulli),
+    "coupling": ("max-flow coupling feasibility", ["lower", "upper", NEEDS_DEPTH], _coupling),
+    "monotone-criterion": ("brute-force Strassen check",
+                           ["lower", "upper", NEEDS_DEPTH], _monotone_criterion),
+    "monotonize": ("monotone hull of a leaf function", ["test"], _monotonize),
+    "sparsity": ("depth-level sparsity lower bound", ["test", "prefix", MEASURE], _sparsity),
+    "separator": ("dyadic-block frequency separator", [
+        ("target", {"help": "sequence file, or block length with --certify"}), "p",
+        ("--certify", {"action": "store_true"}),
+        ("--class-test", {"help": "combinatorial test file for the composite"}),
+    ], _separator),
+    "upcrossings": ("count strict upcrossings of block averages",
+                    ["sequence", "block", "alpha", "beta"], _upcrossings),
+    "neutral": ("Sperner search for a neutral mixture cell", [
+        ("sequences", {"nargs": "+"}), DEPTH, MACHINE,
+        ("--resolution", {"type": int, "default": 16}),
+    ], _neutral),
+    "machine-info": ("machine table summary and checks", ["machine_file"], _machine_info),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,167 +299,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-rational laboratory for randomness tests on binary prefixes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, measure=False, depth=False, machine=False, resolution=False):
-        p.add_argument("--out", help="write the TSV report to this path")
-        if measure:
-            p.add_argument("--measure", required=True, help="measure spec file")
-        if depth:
-            p.add_argument("--depth", type=int, default=None)
-        if machine:
-            p.add_argument("--machine", action="append", help="machine table file")
-        if resolution:
-            p.add_argument("--resolution", type=int, default=16)
-
-    p = sub.add_parser("validate-measure", help="check measure table axioms")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate_measure)
-
-    p = sub.add_parser("validate-test", help="check extended-test averages")
-    p.add_argument("test")
-    common(p, measure=True, depth=True)
-    p.set_defaults(func=_cmd_validate_test)
-
-    p = sub.add_parser("deficiency", help="deficiency profile along a sequence")
-    p.add_argument("sequence")
-    common(p, measure=True, depth=True, machine=True)
-    p.set_defaults(func=_cmd_deficiency)
-
-    p = sub.add_parser("min-extension", help="minimal leaf value over extensions")
-    p.add_argument("test")
-    p.add_argument("prefix")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_min_extension)
-
-    p = sub.add_parser("cond-average", help="conditional average over a cylinder")
-    p.add_argument("test")
-    p.add_argument("prefix")
-    common(p, measure=True)
-    p.set_defaults(func=_cmd_cond_average)
-
-    p = sub.add_parser("martingale", help="check the (super)martingale identity")
-    p.add_argument("g")
-    common(p, measure=True)
-    p.add_argument("--mode", choices=("martingale", "supermartingale"), default="martingale")
-    p.set_defaults(func=_cmd_martingale)
-
-    p = sub.add_parser("prob-check", help="probability-bound check")
-    p.add_argument("test")
-    common(p, measure=True)
-    p.set_defaults(func=_cmd_prob_check)
-
-    p = sub.add_parser("convert", help="probability-bounded to average-bounded")
-    p.add_argument("test")
-    common(p, measure=True)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("bernoulli-validate", help="combinatorial class averages")
-    p.add_argument("test")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bernoulli_validate)
-
-    p = sub.add_parser("bernoulli-extend", help="extend a test by monotonicity")
-    p.add_argument("test")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bernoulli_extend)
-
-    p = sub.add_parser("urn-check", help="without-replacement domination bound")
-    p.add_argument("n", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_urn_check)
-
-    p = sub.add_parser("certify-bernoulli", help="Sturm certification per level")
-    p.add_argument("test")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_certify_bernoulli)
-
-    p = sub.add_parser("coupling", help="max-flow coupling feasibility")
-    p.add_argument("lower")
-    p.add_argument("upper")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_coupling)
-
-    p = sub.add_parser("monotone-criterion", help="brute-force Strassen check")
-    p.add_argument("lower")
-    p.add_argument("upper")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_monotone_criterion)
-
-    p = sub.add_parser("monotonize", help="monotone hull of a leaf function")
-    p.add_argument("test")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_monotonize)
-
-    p = sub.add_parser("sparsity", help="depth-level sparsity lower bound")
-    p.add_argument("test")
-    p.add_argument("prefix")
-    common(p, measure=True)
-    p.set_defaults(func=_cmd_sparsity)
-
-    p = sub.add_parser("separator", help="dyadic-block frequency separator")
-    p.add_argument("target", help="sequence file, or block length with --certify")
-    p.add_argument("p")
-    p.add_argument("--certify", action="store_true")
-    p.add_argument("--class-test", help="combinatorial test file for the composite")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_separator)
-
-    p = sub.add_parser("upcrossings", help="count strict upcrossings of block averages")
-    p.add_argument("sequence")
-    p.add_argument("block")
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_upcrossings)
-
-    p = sub.add_parser("neutral", help="Sperner search for a neutral mixture cell")
-    p.add_argument("sequences", nargs="+")
-    common(p, depth=True, machine=True, resolution=True)
-    p.set_defaults(func=_cmd_neutral)
-
-    p = sub.add_parser("machine-info", help="machine table summary and checks")
-    p.add_argument("machine_file")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_machine_info)
-
+    for name, (help_line, specs, run) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for spec in [*specs, OUT]:
+            flag, options = (spec, {}) if isinstance(spec, str) else spec
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        return args.func(args)
-    except (MachineError, MeasureError) as exc:
-        pair = getattr(exc, "pair", None)
-        prefix = getattr(exc, "prefix", None)
-        if pair is not None:
-            witness = ",".join(format_word(w) for w in pair)
-        elif prefix is not None:
-            witness = format_word(prefix)
+        try:
+            header, rows, ok = args.run(args)
+        except (MachineError, MeasureError) as exc:
+            # a machine error names a pair of programs, a measure error one prefix
+            words = getattr(exc, "pair", None) or (getattr(exc, "prefix", None) or "",)
+            header, ok = ("error", "witness", "detail"), False
+            rows = [("validation", ",".join(map(format_word, words)), str(exc))]
+        text = rows if header is None else render_tsv(header, rows)
+        if args.out:
+            with open(args.out, "w", encoding="ascii", newline="\n") as handle:
+                handle.write(text)
         else:
-            witness = "-"
-        sys.stdout.write(
-            render_tsv(
-                ("error", "witness", "detail"),
-                [("validation", witness, str(exc))],
-            )
-        )
-        return VIOLATION
+            sys.stdout.write(text)
+        return OK if ok else VIOLATION
     except cp.CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return USAGE
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
+    except Exception as exc:  # an internal failure must never read as a certified violation
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return INTERNAL
 
 
 if __name__ == "__main__":

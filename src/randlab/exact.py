@@ -123,20 +123,21 @@ def is_power_of_two(f: Fraction) -> bool:
 
 
 def floor_log2(f: Fraction) -> int:
-    """Largest k with 2**k <= f, for f > 0.  Exact integer comparisons only."""
+    """Largest k with 2**k <= f, for f > 0.  Exact integer comparisons only.
+
+    With k the numerator's bit length minus the denominator's, f lies
+    strictly between 2**(k-1) and 2**(k+1); one comparison places it
+    against 2**k.
+    """
     if f <= 0:
         raise ValueError("floor_log2 needs a positive argument")
-    k = 0
-    if f >= 1:
-        while Fraction(2) ** (k + 1) <= f:
-            k += 1
-        return k
-    while Fraction(2) ** k > f:
-        k -= 1
-    return k
+    n, d = f.numerator, f.denominator
+    k = n.bit_length() - d.bit_length()
+    return k if (n << max(-k, 0)) >= (d << max(k, 0)) else k - 1
 
 
 def ceil_log2(f: Fraction) -> int:
-    """Smallest k with 2**k >= f, for f > 0."""
-    k = floor_log2(f)
-    return k if Fraction(2) ** k == f else k + 1
+    """Smallest k with 2**k >= f, for f > 0: 2**k >= f exactly when 2**-k <= 1/f."""
+    if f <= 0:
+        raise ValueError("ceil_log2 needs a positive argument")
+    return -floor_log2(Fraction(f.denominator, f.numerator))

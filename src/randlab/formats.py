@@ -42,6 +42,11 @@ class ParseError(ValueError):
     pass
 
 
+#: Most `mix` files a measure spec may nest, so parsing and `realize` recurse
+#: a bounded number of levels.
+MAX_MIX_NESTING = 64
+
+
 def parse_word(token: str) -> str:
     """A binary word; `-` denotes the empty word."""
     if token == "-":
@@ -71,12 +76,16 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
 
     `including` holds the resolved paths of the `mix` files whose parsing is
     still open above this one; a file that includes itself, directly or
-    through others, is a parse error.  A file may appear under several
-    parents.
+    through others, or that sits below more than `MAX_MIX_NESTING` of them,
+    is a parse error.  A file may appear under several parents.
     """
     resolved = os.path.realpath(path)
     if resolved in including:
         raise ParseError(f"measure spec {path!r} includes itself")
+    if len(including) > MAX_MIX_NESTING:
+        raise ParseError(
+            f"measure spec {path!r} is nested below more than {MAX_MIX_NESTING} mix files"
+        )
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()

@@ -18,7 +18,6 @@ __all__ = [
     "MeasureError",
     "validate_bits",
     "all_words",
-    "is_prefix",
     "DyadicMeasure",
     "Bernoulli",
     "Table",
@@ -50,10 +49,6 @@ def validate_bits(word: str) -> str:
 def all_words(length: int) -> list[str]:
     """All binary words of the given length, in lexicographic order."""
     return ["".join(bits) for bits in itertools.product("01", repeat=length)]
-
-
-def is_prefix(x: str, y: str) -> bool:
-    return y.startswith(x)
 
 
 class DyadicMeasure:

@@ -21,7 +21,7 @@ from .measures import validate_bits
 
 __all__ = [
     "NeutralInvariantError",
-    "Mixture",
+    "PointMixture",
     "SpernerCell",
     "mixture_deficiency",
     "sperner_search",
@@ -33,7 +33,7 @@ class NeutralInvariantError(AssertionError):
 
 
 @dataclass(frozen=True)
-class Mixture:
+class PointMixture:
     """Barycentric weights over the point masses of the input sequences."""
 
     weights: tuple[Fraction, ...]
@@ -56,14 +56,14 @@ class SpernerCell:
     """A fully labelled cell: vertex i carries label `labels[i]`, and the
     sequence with that index scores at most 1 at that vertex (`values[i]`)."""
 
-    vertices: tuple[Mixture, ...]
+    vertices: tuple[PointMixture, ...]
     labels: tuple[int, ...]
     values: tuple[Fraction, ...]
     diameter: Fraction
 
 
 def mixture_deficiency(
-    weights: Mixture | Sequence[Fraction],
+    weights: PointMixture | Sequence[Fraction],
     sequences: Sequence[str],
     i: int,
     machine: PrefixMachine,
@@ -75,7 +75,7 @@ def mixture_deficiency(
     Infinite as soon as some prefix of sequence i has machine mass but no
     mixture mass.
     """
-    mix = weights if isinstance(weights, Mixture) else Mixture(tuple(weights))
+    mix = weights if isinstance(weights, PointMixture) else PointMixture(tuple(weights))
     if not 0 <= i < len(sequences):
         raise ValueError("sequence index out of range")
     if len(mix.weights) != len(sequences):
@@ -166,8 +166,8 @@ def sperner_search(
 
     m = resolution
 
-    def to_mixture(point: tuple[int, ...]) -> Mixture:
-        return Mixture(tuple(Fraction(c, m) for c in point))
+    def to_mixture(point: tuple[int, ...]) -> PointMixture:
+        return PointMixture(tuple(Fraction(c, m) for c in point))
 
     labels: dict[tuple[int, ...], tuple[int, Fraction]] = {}
 

@@ -9,9 +9,9 @@ ones.  The deficiency profile ties these to a prefix machine's output mass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .exact import INF, Ext, div_ratio, fmt, is_inf, is_power_of_two, ceil_log2, floor_log2, mul_nonneg
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
@@ -19,7 +19,7 @@ from .measures import DyadicMeasure, all_words, validate_bits
 
 __all__ = [
     "ExtendedTest",
-    "TestReport",
+    "Verdict",
     "validate_extended_test",
     "from_weights",
     "DeficiencyProfile",
@@ -30,7 +30,6 @@ __all__ = [
     "conditional_average",
     "MartingaleReport",
     "martingale_check",
-    "ProbBoundReport",
     "prob_bound_check",
     "ConvertReport",
     "prob_to_avg_convert",
@@ -82,36 +81,45 @@ class ExtendedTest:
 
     def is_monotone(self) -> Optional[str]:
         """None when monotone under prefix extension, else the first bad child."""
-        for length in range(self.depth):
-            for x in all_words(length):
-                for b in "01":
-                    if self.values[x] > self.values[x + b]:
-                        return x + b
-        return None
+        return next(_non_monotone_children(self.values, self.depth), None)
 
     def __repr__(self) -> str:
         return f"ExtendedTest(depth={self.depth})"
 
 
-@dataclass
-class TestReport:
-    ok: bool
-    rows: list[tuple[str, str, str, str]] = field(default_factory=list)
-    first_violation: Optional[str] = None
+def _non_monotone_children(values: Mapping[str, Fraction], depth: int) -> Iterator[str]:
+    """Every child valued below its parent, level by level, in word order."""
+    for length in range(depth):
+        for x in all_words(length):
+            for b in "01":
+                if values[x] > values[x + b]:
+                    yield x + b
 
-    def tsv_rows(self) -> list[tuple[str, str, str, str]]:
-        return self.rows
+
+@dataclass
+class Verdict:
+    """An exact check: 4-column report rows and, when `ok` is false, a witness.
+
+    The witness is the first violation found; each checking function
+    documents its form (a message, or the exact values that refute the
+    property).
+    """
+
+    ok: bool
+    rows: list[tuple[str, str, str, str]]
+    witness: object = None
 
 
 def validate_extended_test(
     test: ExtendedTest,
     measure: DyadicMeasure,
     antichain: Optional[Sequence[str]] = None,
-) -> TestReport:
+) -> Verdict:
     """Check monotonicity and the level-average bound, exactly.
 
     When an antichain is supplied, its prefix-freeness and the average bound
-    over it are checked as well.  Failures are report rows, never exceptions.
+    over it are checked as well.  Failures are report rows, never exceptions;
+    the witness is a message naming the first one.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
@@ -148,7 +156,7 @@ def validate_extended_test(
         if not ok_set and first is None:
             first = f"antichain average {total} exceeds 1"
 
-    return TestReport(ok=first is None, rows=rows, first_violation=first)
+    return Verdict(ok=first is None, rows=rows, witness=first)
 
 
 def from_weights(
@@ -379,26 +387,16 @@ def martingale_check(
     return MartingaleReport(ok=not failures, mode=mode, failures=failures)
 
 
-@dataclass
-class ProbBoundReport:
-    ok: bool
-    rows: list[tuple[str, str, str, str]]
-    witness: Optional[tuple[Fraction, Fraction]]  # (N, P{T > N}) with mass > 1/N
-
-    def tsv_rows(self) -> list[tuple[str, str, str, str]]:
-        return self.rows
-
-
-def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> ProbBoundReport:
+def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     """Decide the probability bound P{T > N} <= 1/N for every threshold N > 0.
 
     The tail mass is a step function of N that only changes at leaf values,
     so the bound holds for all N exactly when v * P{T >= v} <= 1 at every
     distinct positive leaf value v.  The leaf masses are grouped by value
     once, and each tail P{T >= v} is a suffix sum over the sorted values.
-    On failure the witness is a rational N strictly between the previous
-    value and v with P{T > N} > 1/N; no leaf value lies in that gap, so
-    P{T > N} is the tail at v.
+    On failure the witness is (N, P{T > N}) for a rational N strictly
+    between the previous value and v with P{T > N} > 1/N; no leaf value lies
+    in that gap, so P{T > N} is the tail at v.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
@@ -424,7 +422,7 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> ProbBoundRep
             lower = max(previous, 1 / tail)
             witness = ((lower + v) / 2, tail)
         previous = v
-    return ProbBoundReport(ok=witness is None, rows=rows, witness=witness)
+    return Verdict(ok=witness is None, rows=rows, witness=witness)
 
 
 def _sum_inverse_squares_bound(terms: int = 50) -> Fraction:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from helpers import (
     random_dyadic_measure,
@@ -23,8 +24,9 @@ from randlab.bernoulli import (
     replacement_domination_check,
     validate_combinatorial_test,
 )
-from randlab.coupling import is_coupled_below, monotone_criterion_check, pushdown_measure
-from randlab.exact import div_ratio, mul_nonneg
+from randlab.coupling import is_coupled_below, leq_words, monotone_criterion_check, pushdown_measure
+from randlab.exact import div_ratio, fmt, mul_nonneg, parse_rational
+from randlab.formats import parse_measure_spec_file
 from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total, tiny_machine
 from randlab.measures import DyadicMeasure, Table, all_words, realize, shipped_measure_specs
 from randlab.neutral import mixture_deficiency, sperner_search
@@ -41,6 +43,9 @@ from randlab.randtests import (
 from randlab.separator import chebyshev_tail_check
 from randlab.bernoulli import bernoulli_poly
 from randlab.randtests import ExtendedTest
+
+#: Golden copies of the demo battery's reports, read here and never written.
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def report(name: str, limit: float, started: float) -> None:
@@ -242,6 +247,41 @@ def test_criterion_11_sperner_neutral_search():
     report("criterion 11: Sperner neutral-mixture search", 120.0, started)
 
 
+def demo_measure(directory: Path, name: str, depth: int) -> DyadicMeasure:
+    return realize(parse_measure_spec_file(str(directory / name)), depth)
+
+
+def tsv_body(path: Path) -> list[list[str]]:
+    return [line.split("\t") for line in path.read_text(encoding="ascii").splitlines()[1:]]
+
+
+def check_coupling_plan(directory: Path) -> None:
+    """coupling third uniform: a plan on pairs x <= y with marginals P and Q."""
+    p = demo_measure(directory, "third.measure", 3)
+    q = demo_measure(directory, "uniform.measure", 3)
+    rows, cols = {}, {}
+    for x, y, flow in tsv_body(directory / "coupling_third_uniform.tsv"):
+        assert leq_words(x, y) and parse_rational(flow) > 0
+        rows[x] = rows.get(x, F(0)) + parse_rational(flow)
+        cols[y] = cols.get(y, F(0)) + parse_rational(flow)
+    for word in all_words(3):
+        assert rows.get(word, F(0)) == p.mass(word)
+        assert cols.get(word, F(0)) == q.mass(word)
+
+
+def check_coupling_certificate(directory: Path) -> None:
+    """coupling uniform third: an upper set U with P(U) > Q(U)."""
+    p = demo_measure(directory, "uniform.measure", 3)
+    q = demo_measure(directory, "third.measure", 3)
+    body = tsv_body(directory / "coupling_uniform_third.tsv")
+    upper = {word for word, _, _ in body}
+    assert upper and all(y in upper for x in upper for y in all_words(3) if leq_words(x, y))
+    p_mass = sum((p.mass(x) for x in upper), F(0))
+    q_mass = sum((q.mass(x) for x in upper), F(0))
+    assert p_mass > q_mass
+    assert {(row[1], row[2]) for row in body} == {(fmt(p_mass), fmt(q_mass))}
+
+
 def test_criterion_12_cli_determinism(tmp_path):
     started = time.perf_counter()
     dirs = [str(tmp_path / "run1"), str(tmp_path / "run2")]
@@ -258,4 +298,11 @@ def test_criterion_12_cli_determinism(tmp_path):
     )
     assert not mismatch and not errors
     assert len(match) > 20
-    report("criterion 12: demo battery is byte-deterministic", 120.0, started)
+    run1 = Path(dirs[0])
+    golden = sorted(GOLDEN.glob("*.tsv"))
+    assert len(golden) == 24  # 23 non-witness reports and exit_codes.tsv
+    for path in golden:
+        assert (run1 / path.name).read_bytes() == path.read_bytes(), path.name
+    check_coupling_plan(run1)
+    check_coupling_certificate(run1)
+    report("criterion 12: demo battery is byte-deterministic and matches golden", 120.0, started)

@@ -54,7 +54,7 @@ def test_validate_rejects_level_one_overload():
     values = {"": F(0), "0": F(2), "1": F(2)}
     report = validate_combinatorial_test(values, 1)
     assert not report.ok
-    assert "B(1,0)" in report.first_violation or "monotonicity" in report.first_violation
+    assert "B(1,0)" in report.witness or "monotonicity" in report.witness
 
 
 def test_extend_flat():

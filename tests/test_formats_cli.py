@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import randlab.coupling
 from randlab.cli import main
 from randlab.formats import (
+    MAX_MIX_NESTING,
     ParseError,
     parse_machine_file,
     parse_measure_spec_file,
@@ -71,6 +73,27 @@ def test_mix_spec_diamond_parses(tmp_path):
     top = write(tmp_path, "top.measure", "mix\n1/2 left.measure\n1/2 right.measure\n")
     m = realize(parse_measure_spec_file(top), 1)
     assert m.mass("1") == F(1, 2) * F(1, 4) + F(1, 2) * F(1, 8)
+
+
+def mix_chain(tmp_path, mix_files):
+    """m0 mixes m1, ..., the last `mix` file mixes a Bernoulli leaf."""
+    write(tmp_path, f"m{mix_files}.measure", "bernoulli 1/2\n")
+    for i in range(mix_files):
+        write(tmp_path, f"m{i}.measure", f"mix\n1/1 m{i + 1}.measure\n")
+    return str(tmp_path / "m0.measure")
+
+
+def test_mix_chain_at_the_nesting_cap_parses(tmp_path):
+    spec = parse_measure_spec_file(mix_chain(tmp_path, MAX_MIX_NESTING))
+    assert realize(spec, 2).mass("1") == F(1, 2)
+
+
+def test_mix_chain_past_the_nesting_cap_is_a_parse_error(tmp_path, capsys):
+    path = mix_chain(tmp_path, MAX_MIX_NESTING + 1)
+    assert main(["validate-measure", path, "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "nested below more than" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_parse_sequence_ignores_whitespace(tmp_path):
@@ -141,6 +164,20 @@ def test_cli_coupling_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "11" in out  # certificate upper set printed
     assert run_cli("coupling", uni, uni, "--depth", "2") == 0
+
+
+def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("min-cut certificate failed to separate the masses")
+
+    monkeypatch.setattr(randlab.coupling, "is_coupled_below", broken)
+    uni = write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    assert run_cli("coupling", uni, uni, "--depth", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error: AssertionError: min-cut certificate failed to separate the masses\n"
+    )
+    assert captured.out == ""
 
 
 def test_cli_certify_bernoulli_witness(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from randlab.exact import is_inf
 from randlab.machines import PrefixMachine, canonical_machine
 from randlab.neutral import (
-    Mixture,
+    PointMixture,
     mixture_deficiency,
     sperner_search,
 )
@@ -42,9 +42,9 @@ def test_two_point_mixture_exact_value():
 
 def test_mixture_weights_validated():
     with pytest.raises(ValueError):
-        Mixture((F(1, 2), F(1, 3)))
+        PointMixture((F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
-        Mixture((F(3, 2), F(-1, 2)))
+        PointMixture((F(3, 2), F(-1, 2)))
 
 
 def test_search_k1_returns_the_single_vertex():
@@ -66,7 +66,7 @@ def one_dimensional_scan_oracle(machine, seqs, depth, m):
     """Labels along the edge grid; reports whether adjacent labels flip."""
     labels = []
     for j in range(m + 1):
-        mix = Mixture((F(m - j, m), F(j, m)))
+        mix = PointMixture((F(m - j, m), F(j, m)))
         chosen = None
         for i in mix.support():
             v = mixture_deficiency(mix, seqs, i, machine, depth)
@@ -107,7 +107,7 @@ def test_every_grid_point_admits_a_label():
     m = 8
     for a in range(m + 1):
         for b in range(m + 1 - a):
-            mix = Mixture((F(a, m), F(b, m), F(m - a - b, m)))
+            mix = PointMixture((F(a, m), F(b, m), F(m - a - b, m)))
             found = False
             for i in mix.support():
                 v = mixture_deficiency(mix, seqs, i, machine, 4)
@@ -145,7 +145,7 @@ def test_random_mixtures_respect_budget_identity():
             F(cuts[1] - cuts[0], 12),
             F(12 - cuts[1], 12),
         )
-        mix = Mixture(weights)
+        mix = PointMixture(weights)
         average = F(0)
         for i in mix.support():
             v = mixture_deficiency(mix, seqs, i, machine, 6)

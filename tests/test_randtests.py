@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import (
     random_dyadic_measure,
@@ -9,7 +10,7 @@ from helpers import (
     random_monotone_test,
     random_prefix_machine,
 )
-from randlab.exact import is_inf, mul_nonneg
+from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
 from randlab.machines import PrefixMachine, canonical_machine, discrete_semimeasure
 from randlab.measures import Bernoulli, all_words, point_mass, realize
 from randlab.randtests import (
@@ -44,7 +45,7 @@ def test_validate_constant_two_fails_at_root():
     T = ExtendedTest.from_partial(2, {"": F(2)})
     report = validate_extended_test(T, UNIFORM2)
     assert not report.ok
-    assert "level 0" in report.first_violation
+    assert "level 0" in report.witness
 
 
 def test_validate_antichain_generalization():
@@ -52,7 +53,7 @@ def test_validate_antichain_generalization():
     report = validate_extended_test(T, UNIFORM2, antichain=["0", "10", "11"])
     assert report.ok
     bad = validate_extended_test(T, UNIFORM2, antichain=["1", "10"])
-    assert not bad.ok and "antichain" in bad.first_violation
+    assert not bad.ok and "antichain" in bad.witness
 
 
 def test_from_weights_examples():
@@ -192,6 +193,19 @@ def test_convert_value_guard_and_seam():
     assert convert_value(F(16)) == 1
     assert convert_value(F(5)) == F(5, 9)  # ceil(log2 5) = 3
     assert convert_value(F(0)) == 0
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=F(1, 10**9), max_value=10**9),
+        st.integers(-80, 80).map(lambda k: F(2) ** k),
+    ).filter(lambda f: f > 0)
+)
+def test_floor_and_ceil_log2_meet_their_definitions(f):
+    k = floor_log2(f)
+    assert F(2) ** k <= f < F(2) ** (k + 1)
+    k = ceil_log2(f)
+    assert F(2) ** (k - 1) < f <= F(2) ** k
 
 
 def test_convert_flat_test():

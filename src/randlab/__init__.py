@@ -6,7 +6,9 @@ the package asserts is decided exactly, never within a tolerance.
 
 from .exact import INF, fmt, parse_rational
 from .measures import (
+    MAX_DEPTH,
     Bernoulli,
+    CapabilityError,
     DyadicMeasure,
     MeasureError,
     Mixture,
@@ -54,7 +56,6 @@ from .bernoulli import (
 )
 from .poly import UnivariatePoly
 from .coupling import (
-    CapabilityError,
     CouplingWitness,
     enumerate_upper_sets,
     is_coupled_below,

@@ -14,7 +14,7 @@ from math import comb
 from typing import Mapping, Optional
 
 from .exact import fmt
-from .measures import all_words, bernoulli_mass, validate_bits
+from .measures import all_words, bernoulli_mass, fill_down, prefixes, validate_bits
 from .poly import UnivariatePoly, constant, nonneg_on_unit_interval
 from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
@@ -55,6 +55,14 @@ def class_average(f: Mapping[str, Fraction], n: int, k: int) -> Fraction:
     return total / comb(n, k)
 
 
+def _class_sums(values: Mapping[str, Fraction], n: int) -> list[Fraction]:
+    """Sums of the level-n values over each class B(n, k), k = 0..n, in one pass."""
+    sums = [Fraction(0)] * (n + 1)
+    for x in all_words(n):
+        sums[x.count("1")] += values[x]
+    return sums
+
+
 def validate_combinatorial_test(
     f: Mapping[str, Fraction] | ExtendedTest, depth: int
 ) -> Verdict:
@@ -66,17 +74,16 @@ def validate_combinatorial_test(
     values = f.values if isinstance(f, ExtendedTest) else dict(f)
     rows: list[tuple[str, str, str, str]] = []
     first: Optional[str] = None
-    for length in range(depth + 1):
-        for x in all_words(length):
-            if x not in values:
-                return Verdict(False, [(x, "-", "-", "missing")], f"value missing at {x!r}")
+    missing = next((x for x in prefixes(depth) if x not in values), None)
+    if missing is not None:
+        return Verdict(False, [(missing, "-", "-", "missing")], f"value missing at {missing!r}")
     for child in _non_monotone_children(values, depth):
         rows.append((child, fmt(values[child]), fmt(values[child[:-1]]), "non-monotone"))
         if first is None:
             first = f"monotonicity fails at {child!r}"
     for n in range(depth + 1):
-        for k in range(n + 1):
-            average = class_average(values, n, k)
+        for k, total in enumerate(_class_sums(values, n)):
+            average = total / comb(n, k)
             ok_class = average <= 1
             rows.append(
                 (f"B({n},{k})", fmt(average), fmt(1), "pass" if ok_class else "fail")
@@ -94,11 +101,7 @@ def extension_values(
     depth = max(len(x) for x in out)
     if n_target < depth:
         raise ValueError("target depth below the given depth")
-    for length in range(depth, n_target):
-        for x in all_words(length):
-            for b in "01":
-                out[x + b] = out[x]
-    return out
+    return fill_down(n_target, out[""], lambda v, x: out[x] if len(x) <= depth else v)
 
 
 def extend_by_monotonicity(
@@ -184,9 +187,11 @@ def replacement_domination_check(n: int) -> UrnReport:
     max_ratio = Fraction(0)
     argmax: Optional[tuple[int, str]] = None
     ok = True
+    # Both laws give every word of B(n, k) the same mass, so one word per
+    # class decides; 0^(n-k) 1^k is the first of its class in word order.
     for K in range(N + 1):
         p = Fraction(K, N)
-        for x in all_words(n):
+        for x in ("0" * (n - k) + "1" * k for k in range(n + 1)):
             hyper = hypergeom_prefix_prob(N, K, x)
             bern = bernoulli_mass(p, x)
             if hyper > factor * bern:
@@ -201,9 +206,7 @@ def bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
     """The level-n coin average sum_x T(x) p^ones(x) (1-p)^zeros(x), expanded."""
     if n > test.depth:
         raise ValueError("level beyond test depth")
-    by_ones = [Fraction(0)] * (n + 1)
-    for x in all_words(n):
-        by_ones[x.count("1")] += test.values[x]
+    by_ones = _class_sums(test.values, n)
     # p^k (1-p)^(n-k) expanded via the binomial theorem
     result = UnivariatePoly([])
     p_power = constant(Fraction(1))

@@ -43,7 +43,7 @@ from .machines import (
     semimeasure_table,
     semimeasure_total,
 )
-from .measures import MeasureError, all_words, count_upcrossings, realize
+from .measures import CapabilityError, MeasureError, all_words, count_upcrossings, realize
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -131,10 +131,7 @@ def _convert(args):
     test = parse_test_file(args.test)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
     converted, report = rt.prob_to_avg_convert(test, measure)
-    rows = [
-        (format_word(x), fmt(v), "-", "value")
-        for x, v in sorted(converted.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    rows = [(format_word(x), fmt(v), "-", "value") for x, v in converted.values.items()]
     return VERDICT, rows + report.tsv_rows(), report.ok
 
 
@@ -328,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return OK if ok else VIOLATION
-    except cp.CapabilityError as exc:
+    except CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return USAGE
     except (ParseError, ValueError, OSError) as exc:

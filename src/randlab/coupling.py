@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional
 
-from .measures import DyadicMeasure, all_words, bernoulli_mass, realize, Bernoulli, validate_bits
+from .measures import CapabilityError, DyadicMeasure, all_words, bernoulli_mass, realize, Bernoulli, validate_bits
 from .randtests import ExtendedTest
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "pushdown_measure",
     "sparsity_value",
 ]
-
-
-class CapabilityError(ValueError):
-    """The requested instance exceeds a documented enumeration cap."""
 
 
 def leq_words(x: str, y: str) -> bool:

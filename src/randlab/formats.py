@@ -15,12 +15,13 @@ from .exact import parse_rational
 from .machines import MonotoneMachine, PrefixMachine
 from .measures import (
     Bernoulli,
+    CapabilityError,
     DyadicMeasure,
     MeasureError,
     MeasureSpec,
     Mixture,
     Table,
-    all_words,
+    prefixes,
     validate_bits,
 )
 from .randtests import ExtendedTest
@@ -120,7 +121,7 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
                 sub_path = sub if os.path.isabs(sub) else os.path.join(base, sub)
                 parts.append(parse_measure_spec_file(sub_path, including + (resolved,)))
             return Mixture(tuple(weights), tuple(parts))
-    except (ParseError, MeasureError):
+    except (ParseError, MeasureError, CapabilityError):
         raise  # a bad table is a certified violation, not a parse failure
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad measure spec {path!r}: {exc}") from exc
@@ -197,16 +198,17 @@ def parse_test_file(path: str) -> ExtendedTest:
         listed[word] = parse_rational(tokens[1])
     try:
         return ExtendedTest.from_partial(depth, listed)
+    except CapabilityError:
+        raise
     except ValueError as exc:
         raise ParseError(f"bad test file {path!r}: {exc}") from exc
 
 
 def render_test_file(test: ExtendedTest) -> str:
     lines = [f"test {test.depth}"]
-    for length in range(test.depth + 1):
-        for x in all_words(length):
-            value = test.values[x]
-            lines.append(f"{format_word(x)} {value.numerator}/{value.denominator}")
+    for x in prefixes(test.depth):
+        value = test.values[x]
+        lines.append(f"{format_word(x)} {value.numerator}/{value.denominator}")
     return "\n".join(lines) + "\n"
 
 

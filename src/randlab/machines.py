@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .exact import INF
-from .measures import all_words, validate_bits
+from .measures import prefixes, validate_bits
 
 __all__ = [
     "MachineError",
@@ -184,11 +184,7 @@ def canonical_machine(max_len: int = 6) -> PrefixMachine:
     Every word of length L <= max_len is produced by exactly one program of
     length 2L + 1, so its shortest-program length is exactly 2L + 1.
     """
-    entries = {}
-    for length in range(max_len + 1):
-        for x in all_words(length):
-            entries["1" * length + "0" + x] = x
-    return PrefixMachine(entries)
+    return PrefixMachine({"1" * len(x) + "0" + x: x for x in prefixes(max_len)})
 
 
 def tiny_machine() -> PrefixMachine:
@@ -198,8 +194,4 @@ def tiny_machine() -> PrefixMachine:
 
 def canonical_monotone_machine(max_len: int = 3) -> MonotoneMachine:
     """The shipped copy machine: every program up to max_len outputs itself."""
-    entries = []
-    for length in range(max_len + 1):
-        for p in all_words(length):
-            entries.append((p, p))
-    return MonotoneMachine(entries)
+    return MonotoneMachine((p, p) for p in prefixes(max_len))

@@ -6,18 +6,29 @@ rational masses on every prefix up to its depth, with mass("") = 1 and
 mass(x) = mass(x0) + mass(x1) at every interior prefix.  Frequency
 statistics (sliding block averages and their upcrossing counts) live here
 too, since they are functions of words and masses only.
+
+Every whole-tree walk of the package is one of three here: `prefixes`
+lists the prefixes, `fill_down` fills a table from the root down, `fold_up`
+from the leaves up.  They and `all_words` refuse a depth above `MAX_DEPTH`
+with a :class:`CapabilityError` before they build a single word.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
+    "MAX_DEPTH",
+    "CapabilityError",
     "MeasureError",
     "validate_bits",
     "all_words",
+    "prefixes",
+    "fill_down",
+    "fold_up",
     "DyadicMeasure",
     "Bernoulli",
     "Table",
@@ -30,6 +41,16 @@ __all__ = [
     "count_upcrossings",
     "shipped_measure_specs",
 ]
+
+
+#: Deepest prefix table any walk builds: 2^17 - 1 prefixes.
+MAX_DEPTH = 16
+
+V = TypeVar("V")
+
+
+class CapabilityError(ValueError):
+    """The requested instance exceeds a documented enumeration cap."""
 
 
 class MeasureError(ValueError):
@@ -46,9 +67,39 @@ def validate_bits(word: str) -> str:
     return word
 
 
+def _capped(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise CapabilityError(f"prefix tables are capped at depth {MAX_DEPTH}, got {depth}")
+    return depth
+
+
 def all_words(length: int) -> list[str]:
     """All binary words of the given length, in lexicographic order."""
-    return ["".join(bits) for bits in itertools.product("01", repeat=length)]
+    return ["".join(bits) for bits in itertools.product("01", repeat=_capped(length))]
+
+
+def prefixes(depth: int) -> Iterator[str]:
+    """Every word up to `depth`, shorter first, each length in word order, a level at a time."""
+    return (x for length in range(_capped(depth) + 1) for x in all_words(length))
+
+
+def fill_down(depth: int, root: V, step: Callable[[V, str], V]) -> dict[str, V]:
+    """Top-down in `prefixes` order: table[""] = root, table[child] = step(table[parent], child)."""
+    table = {"": root}
+    for x in prefixes(_capped(depth) - 1):
+        value = table[x]
+        table[x + "0"] = step(value, x + "0")
+        table[x + "1"] = step(value, x + "1")
+    return table
+
+
+def fold_up(leaves: Mapping[str, V], depth: int, combine: Callable[[V, V], V]) -> dict[str, V]:
+    """Bottom-up table over the level-`depth` leaves: table[x] = combine(table[x0], table[x1])."""
+    table = dict(leaves)
+    for length in range(depth - 1, -1, -1):
+        for x in all_words(length):
+            table[x] = combine(table[x + "0"], table[x + "1"])
+    return table
 
 
 class DyadicMeasure:
@@ -74,28 +125,23 @@ class DyadicMeasure:
     @staticmethod
     def check(mass: Mapping[str, Fraction], depth: int) -> tuple[str, str] | None:
         """Return (message, prefix) for the first violated axiom, else None."""
-        for length in range(depth + 1):
-            for x in all_words(length):
-                if x not in mass:
-                    return (f"missing mass for prefix {x!r}", x)
-                if not 0 <= mass[x] <= 1:
-                    return (f"mass out of [0,1] at prefix {x!r}", x)
+        for x in prefixes(depth):
+            if x not in mass:
+                return (f"missing mass for prefix {x!r}", x)
+            if not 0 <= mass[x] <= 1:
+                return (f"mass out of [0,1] at prefix {x!r}", x)
         if mass[""] != 1:
             return ("mass of the empty word must be 1", "")
-        for length in range(depth):
-            for x in all_words(length):
-                if mass[x] != mass[x + "0"] + mass[x + "1"]:
-                    return (f"additivity fails at prefix {x!r}", x)
+        for x in prefixes(depth - 1):
+            if mass[x] != mass[x + "0"] + mass[x + "1"]:
+                return (f"additivity fails at prefix {x!r}", x)
         return None
 
     @classmethod
     def from_leaves(cls, depth: int, leaves: Mapping[str, Fraction]) -> "DyadicMeasure":
         """Build a table from level-`depth` masses, deriving interior masses."""
         mass = {x: Fraction(leaves.get(x, 0)) for x in all_words(depth)}
-        for length in range(depth - 1, -1, -1):
-            for x in all_words(length):
-                mass[x] = mass[x + "0"] + mass[x + "1"]
-        return cls(depth, mass)
+        return cls(depth, fold_up(mass, depth, operator.add))
 
     def mass(self, x: str) -> Fraction:
         if len(x) > self.depth:
@@ -182,11 +228,8 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if isinstance(spec, Bernoulli):
-        mass = {"": Fraction(1)}
-        for length in range(depth):
-            for x in all_words(length):
-                mass[x + "0"] = mass[x] * (1 - spec.p)
-                mass[x + "1"] = mass[x] * spec.p
+        p, q = spec.p, 1 - spec.p
+        mass = fill_down(depth, Fraction(1), lambda m, x: m * (p if x[-1] == "1" else q))
         return DyadicMeasure(depth, mass, validate=False)
     if isinstance(spec, Table):
         if depth > spec.measure.depth:
@@ -196,13 +239,10 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
         return spec.measure.truncated(depth)
     if isinstance(spec, Mixture):
         parts = [realize(part, depth) for part in spec.parts]
-        mass = {}
-        for length in range(depth + 1):
-            for x in all_words(length):
-                mass[x] = sum(
-                    (w * part.mass(x) for w, part in zip(spec.weights, parts)),
-                    Fraction(0),
-                )
+        mass = {
+            x: sum((w * part.mass(x) for w, part in zip(spec.weights, parts)), Fraction(0))
+            for x in prefixes(depth)
+        }
         return DyadicMeasure(depth, mass, validate=False)
     raise TypeError(f"not a measure spec: {spec!r}")
 
@@ -214,10 +254,7 @@ def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:
         raise ValueError(
             f"prefix of length {len(omega_prefix)} too short for depth {depth}"
         )
-    mass = {}
-    for length in range(depth + 1):
-        for x in all_words(length):
-            mass[x] = Fraction(1) if omega_prefix.startswith(x) else Fraction(0)
+    mass = {x: Fraction(omega_prefix.startswith(x)) for x in prefixes(depth)}
     return DyadicMeasure(depth, mass, validate=False)
 
 

@@ -9,13 +9,14 @@ ones.  The deficiency profile ties these to a prefix machine's output mass.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .exact import INF, Ext, div_ratio, fmt, is_inf, is_power_of_two, ceil_log2, floor_log2, mul_nonneg
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
-from .measures import DyadicMeasure, all_words, validate_bits
+from .measures import MAX_DEPTH, DyadicMeasure, all_words, fill_down, fold_up, prefixes, validate_bits
 
 __all__ = [
     "ExtendedTest",
@@ -48,14 +49,13 @@ class ExtendedTest:
             raise ValueError("depth must be nonnegative")
         self.depth = depth
         self.values = {}
-        for length in range(depth + 1):
-            for x in all_words(length):
-                if x not in values:
-                    raise ValueError(f"test value missing for prefix {x!r}")
-                v = Fraction(values[x])
-                if v < 0:
-                    raise ValueError(f"negative test value at prefix {x!r}")
-                self.values[x] = v
+        for x in prefixes(depth):
+            if x not in values:
+                raise ValueError(f"test value missing for prefix {x!r}")
+            v = Fraction(values[x])
+            if v < 0:
+                raise ValueError(f"negative test value at prefix {x!r}")
+            self.values[x] = v
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
@@ -64,14 +64,8 @@ class ExtendedTest:
             validate_bits(x)
             if len(x) > depth:
                 raise ValueError(f"listed prefix {x!r} deeper than {depth}")
-        values: dict[str, Fraction] = {}
-        for length in range(depth + 1):
-            for x in all_words(length):
-                v = Fraction(listed.get(x, 0))
-                if length > 0:
-                    v = max(v, values[x[:-1]])
-                values[x] = v
-        return cls(depth, values)
+        root = Fraction(listed.get("", 0))
+        return cls(depth, fill_down(depth, root, lambda v, x: max(Fraction(listed.get(x, 0)), v)))
 
     def value(self, x: str) -> Fraction:
         return self.values[x]
@@ -89,11 +83,10 @@ class ExtendedTest:
 
 def _non_monotone_children(values: Mapping[str, Fraction], depth: int) -> Iterator[str]:
     """Every child valued below its parent, level by level, in word order."""
-    for length in range(depth):
-        for x in all_words(length):
-            for b in "01":
-                if values[x] > values[x + b]:
-                    yield x + b
+    for x in prefixes(depth - 1):
+        for b in "01":
+            if values[x] > values[x + b]:
+                yield x + b
 
 
 @dataclass
@@ -131,11 +124,10 @@ def validate_extended_test(
         rows.append((bad, fmt(test.values[bad]), fmt(test.values[bad[:-1]]), "non-monotone"))
         first = f"monotonicity fails at {bad!r}"
 
-    for length in range(test.depth + 1):
-        average = sum(
-            (measure.mass(x) * test.values[x] for x in all_words(length)),
-            Fraction(0),
-        )
+    averages = [Fraction(0)] * (test.depth + 1)
+    for x in prefixes(test.depth):
+        averages[len(x)] += measure.mass(x) * test.values[x]
+    for length, average in enumerate(averages):
         ok_level = average <= 1
         rows.append((f"len={length}", fmt(average), fmt(1), "pass" if ok_level else "fail"))
         if not ok_level and first is None:
@@ -172,14 +164,8 @@ def from_weights(
     )
     if budget > 1:
         raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
-    values: dict[str, Fraction] = {}
-    for length in range(depth + 1):
-        for x in all_words(length):
-            v = Fraction(weights.get(x, 0))
-            if length > 0:
-                v += values[x[:-1]]
-            values[x] = v
-    return ExtendedTest(depth, values)
+    root = Fraction(weights.get("", 0))
+    return ExtendedTest(depth, fill_down(depth, root, lambda v, x: v + Fraction(weights.get(x, 0))))
 
 
 def sum_test_values(
@@ -191,18 +177,14 @@ def sum_test_values(
     path to x (the ratio is taken as 0 by convention).
     """
     mass = machine.output_mass()
-    values: dict[str, Ext] = {}
-    flags: dict[str, bool] = {}
-    for length in range(measure.depth + 1):
-        for x in all_words(length):
-            ratio, flagged = div_ratio(mass.get(x, Fraction(0)), measure.mass(x))
-            if length == 0:
-                values[x] = ratio
-                flags[x] = flagged
-            else:
-                values[x] = values[x[:-1]] + ratio
-                flags[x] = flags[x[:-1]] or flagged
-    return values, flags
+
+    def step(parent: tuple[Ext, bool], x: str) -> tuple[Ext, bool]:
+        ratio, flagged = div_ratio(mass.get(x, Fraction(0)), measure.mass(x))
+        return parent[0] + ratio, parent[1] or flagged
+
+    root = div_ratio(mass.get("", Fraction(0)), measure.mass(""))
+    table = fill_down(measure.depth, root, step)
+    return {x: v for x, (v, _) in table.items()}, {x: f for x, (_, f) in table.items()}
 
 
 def div_ratio_ext(num: Ext, den: Fraction) -> tuple[Ext, bool]:
@@ -271,14 +253,9 @@ def deficiency_profile(
     values, flags = sum_test_values(machine, measure)
     depth = measure.depth
 
-    tbar: dict[str, Ext] = {y: values[y] for y in all_words(depth)}
-    integral: dict[str, Ext] = {
-        y: mul_nonneg(measure.mass(y), values[y]) for y in all_words(depth)
-    }
-    for length in range(depth - 1, -1, -1):
-        for t in all_words(length):
-            tbar[t] = min(tbar[t + "0"], tbar[t + "1"])
-            integral[t] = integral[t + "0"] + integral[t + "1"]
+    leaves = all_words(depth)
+    tbar = fold_up({y: values[y] for y in leaves}, depth, min)
+    integral = fold_up({y: mul_nonneg(measure.mass(y), values[y]) for y in leaves}, depth, operator.add)
 
     mono_cache: dict[str, Fraction] = {}
     if monotone is not None:
@@ -369,21 +346,19 @@ def martingale_check(
         raise ValueError(f"unknown mode {mode!r}")
     if "" not in g:
         raise ValueError("g must be defined on the empty prefix")
-    level = 0
-    while all(x in g for x in all_words(level + 1)):
-        level += 1
+    # g's level is one less than the length of its first missing prefix
+    scan = min(measure.depth + 1, MAX_DEPTH)
+    missing = next((x for x in prefixes(scan) if x not in g), None)
+    level = scan if missing is None else len(missing) - 1
     if level > measure.depth:
         raise ValueError("g defined deeper than the measure table")
+    product = {x: mul_nonneg(measure.mass(x), g[x]) for x in prefixes(level)}
     failures = []
-    for length in range(level):
-        for x in all_words(length):
-            lhs = mul_nonneg(measure.mass(x), g[x])
-            rhs = mul_nonneg(measure.mass(x + "0"), g[x + "0"]) + mul_nonneg(
-                measure.mass(x + "1"), g[x + "1"]
-            )
-            holds = lhs == rhs if mode == "martingale" else lhs >= rhs
-            if not holds:
-                failures.append((x, lhs, rhs))
+    for x in prefixes(level - 1):
+        lhs, rhs = product[x], product[x + "0"] + product[x + "1"]
+        holds = lhs == rhs if mode == "martingale" else lhs >= rhs
+        if not holds:
+            failures.append((x, lhs, rhs))
     return MartingaleReport(ok=not failures, mode=mode, failures=failures)
 
 
@@ -479,12 +454,8 @@ def prob_to_avg_convert(
         raise ValueError(
             f"input is not probability-bounded: witness N={fmt(check.witness[0])}"
         )
-    values: dict[str, Fraction] = {}
-    for y in all_words(test.depth):
-        values[y] = convert_value(test.values[y])
-    for length in range(test.depth - 1, -1, -1):
-        for x in all_words(length):
-            values[x] = min(values[x + "0"], values[x + "1"])
+    leaves = {y: convert_value(test.values[y]) for y in all_words(test.depth)}
+    values = fold_up(leaves, test.depth, min)
     converted = ExtendedTest(test.depth, values)
     average = sum(
         (measure.mass(y) * values[y] for y in all_words(test.depth)), Fraction(0)

@@ -173,16 +173,15 @@ def class_plus_separator(
     x: str,
     p: Fraction,
     b: Optional[ExtendedTest],
-    machineless: bool = False,
 ) -> ClassSeparatorResult:
     """Composite surrogate for the per-measure test: max of a class-test value
     at x and the scaled separator value at x.
 
-    With `machineless` set (or no class test given) the class coordinate is
-    taken as 0 and the separator speaks alone.
+    With no class test given the class coordinate is taken as 0 and the
+    separator speaks alone.
     """
     validate_bits(x)
-    if machineless or b is None:
+    if b is None:
         class_value = Fraction(0)
     else:
         if len(x) > b.depth:

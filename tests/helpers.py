@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from randlab.bernoulli import UrnReport, hypergeom_prefix_prob
 from randlab.machines import MonotoneMachine, PrefixMachine
-from randlab.measures import DyadicMeasure, all_words, block_frequency
+from randlab.measures import DyadicMeasure, all_words, bernoulli_mass, block_frequency
 from randlab.randtests import ExtendedTest, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -107,3 +108,22 @@ def reference_monotone_output_prob(machine: MonotoneMachine, x: str, horizon: in
     """Output probability by running every input of length `horizon`."""
     hits = sum(1 for p in all_words(horizon) if machine.output(p).startswith(x))
     return Fraction(hits, 2 ** horizon)
+
+
+def reference_urn_check(n: int) -> UrnReport:
+    """The urn bound at N = n^2 scored on every length-n word, K by K in
+    word order: the definition `replacement_domination_check` must agree with."""
+    N = n * n
+    factor = Fraction(N, N - n) ** n
+    max_ratio, argmax, ok = Fraction(0), None, True
+    for K in range(N + 1):
+        p = Fraction(K, N)
+        for x in all_words(n):
+            hyper = hypergeom_prefix_prob(N, K, x)
+            bern = bernoulli_mass(p, x)
+            if hyper > factor * bern:
+                ok = False
+            if bern > 0 and hyper / bern > max_ratio:
+                max_ratio = hyper / bern
+                argmax = (K, x)
+    return UrnReport(ok=ok, n=n, N=N, factor=factor, max_ratio=max_ratio, argmax=argmax)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from helpers import reference_urn_check
 from randlab.bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
@@ -16,7 +17,8 @@ from randlab.bernoulli import (
     validate_combinatorial_test,
     words_with_ones,
 )
-from randlab.measures import all_words, bernoulli_mass
+from randlab.exact import fmt
+from randlab.measures import all_words, bernoulli_mass, prefixes
 from randlab.randtests import ExtendedTest
 
 SEED_GRID = [F(0), F(1, 2), F(1), F(2)]
@@ -130,6 +132,29 @@ def test_urn_domination(n, factor):
     assert report.ok
     assert report.factor == factor
     assert report.max_ratio <= factor
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_urn_check_scores_one_word_per_class_like_every_word(n):
+    fast, slow = replacement_domination_check(n), reference_urn_check(n)
+    assert (fast.ok, fast.factor, fast.max_ratio, fast.argmax) == (
+        slow.ok, slow.factor, slow.max_ratio, slow.argmax
+    )
+    assert fast.tsv_rows() == slow.tsv_rows()
+
+
+def test_class_average_rows_match_class_average_on_random_tables():
+    rng = random.Random(11)
+    for _ in range(200):
+        depth = rng.randrange(5)
+        values = {x: F(rng.randrange(4), rng.choice((1, 2, 3))) for x in prefixes(depth)}
+        rows = [row for row in validate_combinatorial_test(values, depth).rows if row[0].startswith("B(")]
+        expected = []
+        for n in range(depth + 1):
+            for k in range(n + 1):
+                average = class_average(values, n, k)
+                expected.append((f"B({n},{k})", fmt(average), fmt(1), "pass" if average <= 1 else "fail"))
+        assert rows == expected
 
 
 def test_bernoulli_poly_examples():

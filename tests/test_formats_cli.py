@@ -14,7 +14,7 @@ from randlab.formats import (
     render_test_file,
 )
 from randlab.machines import MonotoneMachine, PrefixMachine
-from randlab.measures import Bernoulli, Mixture, Table, realize
+from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
 
 
 def write(tmp_path, name, content):
@@ -178,6 +178,24 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
         "internal error: AssertionError: min-cut certificate failed to separate the masses\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["measure-depth", "table-spec", "test-file", "extend-depth"])
+def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
+    # one past the cap, so a missing cap costs seconds rather than memory
+    deep = str(MAX_DEPTH + 1)
+    uni = write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    argv = {
+        "measure-depth": ["validate-measure", uni, "--depth", deep],
+        "table-spec": ["validate-measure", write(tmp_path, "t.measure", f"table {deep}\n"), "--depth", "1"],
+        "test-file": ["validate-test", write(tmp_path, "d.test", f"test {deep}\n"), "--measure", uni],
+        "extend-depth": ["bernoulli-extend", write(tmp_path, "s.test", "test 1\n"), "--depth", deep],
+    }[case]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"capability error: prefix tables are capped at depth {MAX_DEPTH}, got {deep}\n"
+    assert captured.out == ""
+    assert randlab.coupling.CapabilityError is CapabilityError
 
 
 def test_cli_certify_bernoulli_witness(tmp_path, capsys):

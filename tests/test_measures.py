@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -15,7 +16,10 @@ from randlab.measures import (
     bernoulli_mass,
     block_frequency,
     count_upcrossings,
+    fill_down,
+    fold_up,
     point_mass,
+    prefixes,
     realize,
     shipped_measure_specs,
 )
@@ -196,3 +200,17 @@ def test_realize_agrees_with_bernoulli_mass():
     for length in range(6):
         for x in all_words(length):
             assert m.mass(x) == bernoulli_mass(F(2, 5), x)
+
+
+@given(st.integers(min_value=0, max_value=6), st.data())
+def test_walks_meet_their_definitions(depth, data):
+    assert list(prefixes(depth)) == [x for n in range(depth + 1) for x in all_words(n)]
+    handed = []  # each step sees its parent's value; a word's value is the word
+    down = fill_down(depth, "", lambda v, x: handed.append((x, v)) or x)
+    assert list(down.items()) == [(x, x) for x in prefixes(depth)]
+    assert sorted(handed) == [(x, x[:-1]) for x in sorted(prefixes(depth)) if x]
+    leaves = {x: data.draw(st.integers(min_value=-5, max_value=5)) for x in all_words(depth)}
+    up = fold_up(leaves, depth, operator.add)
+    assert sorted(up) == sorted(prefixes(depth))
+    for x in prefixes(depth):
+        assert up[x] == sum(v for y, v in leaves.items() if y.startswith(x))

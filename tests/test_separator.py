@@ -105,7 +105,7 @@ def test_composite_takes_maximum():
     zero = ExtendedTest.from_partial(2, {})
     result0 = class_plus_separator("10", F(1, 2), zero)
     assert result0.combined == 0
-    machineless = class_plus_separator("1" * 16, F(0), None, machineless=True)
+    machineless = class_plus_separator("1" * 16, F(0), None)
     assert machineless.class_value == 0
     assert machineless.combined == machineless.separator_scaled > 0
 

@@ -14,11 +14,22 @@ from math import comb
 from typing import Mapping, Optional
 
 from .exact import fmt
-from .measures import all_words, bernoulli_mass, fill_down, prefixes, validate_bits
+from .measures import (
+    CapabilityError,
+    _doubled,
+    _integer_levels,
+    _word,
+    all_words,
+    bernoulli_mass,
+    fill_down,
+    prefixes,
+    validate_bits,
+)
 from .poly import UnivariatePoly, constant, nonneg_on_unit_interval
 from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
 __all__ = [
+    "MAX_URN_N",
     "CombinatorialTest",
     "words_with_ones",
     "class_average",
@@ -55,12 +66,25 @@ def class_average(f: Mapping[str, Fraction], n: int, k: int) -> Fraction:
     return total / comb(n, k)
 
 
-def _class_sums(values: Mapping[str, Fraction], n: int) -> list[Fraction]:
-    """Sums of the level-n values over each class B(n, k), k = 0..n, in one pass."""
-    sums = [Fraction(0)] * (n + 1)
-    for x in all_words(n):
-        sums[x.count("1")] += values[x]
+def _class_sums(row: list[int], n: int) -> list[int]:
+    """Sums of a level-n row over each class B(n, k), k = 0..n, in one pass."""
+    sums = [0] * (n + 1)
+    for i, v in enumerate(row):
+        sums[i.bit_count()] += v
     return sums
+
+
+_Rows = tuple[list[list[int]], list[int]]
+
+
+def _rows(f: Mapping[str, Fraction] | ExtendedTest, depth: int) -> _Rows | str:
+    """f's levels up to `depth` as integer rows, or the first prefix it leaves undefined."""
+    if isinstance(f, ExtendedTest):
+        return "0" * (f.depth + 1) if depth > f.depth else (f.nums[: depth + 1], f.dens[: depth + 1])
+    missing = next((x for x in prefixes(depth) if x not in f), None)
+    if missing is not None:
+        return missing
+    return _integer_levels([[Fraction(f[x]) for x in all_words(n)] for n in range(depth + 1)])
 
 
 def validate_combinatorial_test(
@@ -71,19 +95,24 @@ def validate_combinatorial_test(
     Every non-monotone child gets a row; the witness is a message naming
     the first violation.
     """
-    values = f.values if isinstance(f, ExtendedTest) else dict(f)
+    rows = _rows(f, depth)
+    if isinstance(rows, str):
+        return Verdict(False, [(rows, "-", "-", "missing")], f"value missing at {rows!r}")
+    return _combinatorial_verdict(*rows)
+
+
+def _combinatorial_verdict(nums: list[list[int]], dens: list[int]) -> Verdict:
     rows: list[tuple[str, str, str, str]] = []
     first: Optional[str] = None
-    missing = next((x for x in prefixes(depth) if x not in values), None)
-    if missing is not None:
-        return Verdict(False, [(missing, "-", "-", "missing")], f"value missing at {missing!r}")
-    for child in _non_monotone_children(values, depth):
-        rows.append((child, fmt(values[child]), fmt(values[child[:-1]]), "non-monotone"))
+    for n, i in _non_monotone_children(nums, dens):
+        child = _word(i, n)
+        value, parent = Fraction(nums[n][i], dens[n]), Fraction(nums[n - 1][i >> 1], dens[n - 1])
+        rows.append((child, fmt(value), fmt(parent), "non-monotone"))
         if first is None:
             first = f"monotonicity fails at {child!r}"
-    for n in range(depth + 1):
-        for k, total in enumerate(_class_sums(values, n)):
-            average = total / comb(n, k)
+    for n, (row, den) in enumerate(zip(nums, dens)):
+        for k, total in enumerate(_class_sums(row, n)):
+            average = Fraction(total, den * comb(n, k))
             ok_class = average <= 1
             rows.append(
                 (f"B({n},{k})", fmt(average), fmt(1), "pass" if ok_class else "fail")
@@ -93,15 +122,26 @@ def validate_combinatorial_test(
     return Verdict(ok=first is None, rows=rows, witness=first)
 
 
+def _extended(rows: _Rows, n_target: int) -> _Rows:
+    """Levels down to n_target, each new child holding its parent's value."""
+    nums, dens = rows
+    depth = len(nums) - 1
+    if n_target < depth:
+        raise ValueError("target depth below the given depth")
+    extended = fill_down(n_target, nums[0][0], lambda above, n: nums[n] if n <= depth else _doubled(above))
+    return extended, dens + [dens[-1]] * (n_target - depth)
+
+
 def extension_values(
     values: Mapping[str, Fraction], n_target: int
 ) -> dict[str, Fraction]:
     """Copy each deepest value onto both children, repeatedly, up to n_target."""
-    out = {x: Fraction(v) for x, v in values.items()}
-    depth = max(len(x) for x in out)
-    if n_target < depth:
-        raise ValueError("target depth below the given depth")
-    return fill_down(n_target, out[""], lambda v, x: out[x] if len(x) <= depth else v)
+    rows = _rows(values, max(len(x) for x in values))
+    if isinstance(rows, str):
+        raise ValueError(f"value missing at {rows!r}")
+    nums, dens = _extended(rows, n_target)
+    fractions = (Fraction(v, den) for row, den in zip(nums, dens) for v in row)
+    return dict(zip(prefixes(n_target), fractions))
 
 
 def extend_by_monotonicity(
@@ -112,18 +152,17 @@ def extend_by_monotonicity(
     The input must already be a valid combinatorial test on its own depth;
     the output is validated again rather than trusted.
     """
-    values = dict(f.values) if isinstance(f, ExtendedTest) else {x: Fraction(v) for x, v in f.items()}
-    depth = max(len(x) for x in values)
-    base = validate_combinatorial_test(values, depth)
+    depth = f.depth if isinstance(f, ExtendedTest) else max(len(x) for x in f)
+    base = validate_combinatorial_test(f, depth)
     if not base.ok:
         raise ValueError(f"input is not a combinatorial test: {base.witness}")
-    extended_values = extension_values(values, n_target)
-    extended = validate_combinatorial_test(extended_values, n_target)
+    nums, dens = _extended(_rows(f, depth), n_target)
+    extended = _combinatorial_verdict(nums, dens)
     if not extended.ok:
         raise AssertionError(
             f"monotone extension broke validity: {extended.witness}"
         )
-    return CombinatorialTest(n_target, extended_values)
+    return CombinatorialTest._of_levels(nums, dens)
 
 
 def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
@@ -154,6 +193,11 @@ def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
     return prob
 
 
+#: Largest urn-check word length: the check grows about as n^3.5 in exact
+#: rationals, and n = 20 takes about a second.
+MAX_URN_N = 20
+
+
 @dataclass
 class UrnReport:
     ok: bool
@@ -182,6 +226,8 @@ def replacement_domination_check(n: int) -> UrnReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > MAX_URN_N:
+        raise CapabilityError(f"urn check capped at n = {MAX_URN_N}, got {n}")
     N = n * n
     factor = Fraction(N, N - n) ** n
     max_ratio = Fraction(0)
@@ -206,7 +252,7 @@ def bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
     """The level-n coin average sum_x T(x) p^ones(x) (1-p)^zeros(x), expanded."""
     if n > test.depth:
         raise ValueError("level beyond test depth")
-    by_ones = _class_sums(test.values, n)
+    by_ones = [Fraction(total, test.dens[n]) for total in _class_sums(test.nums[n], n)]
     # p^k (1-p)^(n-k) expanded via the binomial theorem
     result = UnivariatePoly([])
     p_power = constant(Fraction(1))

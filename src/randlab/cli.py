@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import bernoulli as bl
 from . import coupling as cp
 from . import neutral as nt
 from . import randtests as rt
 from . import separator as sp
-from .exact import fmt, parse_rational
+from .exact import fmt, fmt_ratio, parse_rational
 from .formats import (
     ParseError,
+    format_values,
     format_word,
     parse_machine_file,
     parse_measure_spec_file,
@@ -43,7 +43,7 @@ from .machines import (
     semimeasure_table,
     semimeasure_total,
 )
-from .measures import CapabilityError, MeasureError, all_words, count_upcrossings, realize
+from .measures import CapabilityError, MeasureError, _words, count_upcrossings, realize
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -65,8 +65,8 @@ def _validate_measure(args):
         measure = realize(spec, args.depth)
     except MeasureError as exc:
         return VERDICT, [(format_word(exc.prefix or ""), "-", "-", "fail")], False
-    sums = [sum((m for _, m in measure.level(n)), Fraction(0)) for n in range(measure.depth + 1)]
-    return VERDICT, [(f"len={n}", fmt(total), fmt(1), "pass") for n, total in enumerate(sums)], True
+    sums = [fmt_ratio(sum(row), den) for row, den in zip(measure.nums, measure.dens)]
+    return VERDICT, [(f"len={n}", total, fmt(1), "pass") for n, total in enumerate(sums)], True
 
 
 def _validate_test(args):
@@ -113,7 +113,7 @@ def _cond_average(args):
 def _martingale(args):
     test = parse_test_file(args.g)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
-    report = rt.martingale_check(test.values, measure, args.mode)
+    report = rt.martingale_check(test, measure, args.mode)
     return ("prefix", "lhs", "rhs", "verdict"), report.tsv_rows(), report.ok
 
 
@@ -131,7 +131,7 @@ def _convert(args):
     test = parse_test_file(args.test)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
     converted, report = rt.prob_to_avg_convert(test, measure)
-    rows = [(format_word(x), fmt(v), "-", "value") for x, v in converted.values.items()]
+    rows = [(x, v, "-", "value") for x, v in format_values(converted)]
     return VERDICT, rows + report.tsv_rows(), report.ok
 
 
@@ -180,8 +180,8 @@ def _monotone_criterion(args):
 
 def _monotonize(args):
     test = parse_test_file(args.test)
-    hull = cp.monotonize({x: test.values[x] for x in all_words(test.depth)})
-    return ("word", "value"), [(x, fmt(hull[x])) for x in all_words(test.depth)], True
+    hull, den = cp.submask_hull(test.nums[-1]), test.dens[-1]
+    return ("word", "value"), [(x, fmt_ratio(v, den)) for x, v in zip(_words(test.depth), hull)], True
 
 
 def _sparsity(args):

@@ -14,10 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping, Optional, TypeVar
 
-from .measures import CapabilityError, DyadicMeasure, all_words, bernoulli_mass, realize, Bernoulli, validate_bits
+from .measures import (
+    Bernoulli,
+    CapabilityError,
+    DyadicMeasure,
+    _index,
+    _rescaled,
+    all_words,
+    bernoulli_mass,
+    realize,
+    validate_bits,
+)
 from .randtests import ExtendedTest
+
+V = TypeVar("V")
 
 __all__ = [
     "CapabilityError",
@@ -29,6 +41,7 @@ __all__ = [
     "CriterionResult",
     "monotone_criterion_check",
     "monotonize",
+    "submask_hull",
     "PushdownReport",
     "pushdown_measure",
     "sparsity_value",
@@ -192,11 +205,9 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CouplingResu
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
     words = all_words(n)
-    p_mass = [P.mass(x) for x in words]
-    q_mass = [Q.mass(y) for y in words]
-    scale = lcm(*(m.denominator for m in p_mass + q_mass))
-    supply = [m.numerator * (scale // m.denominator) for m in p_mass]
-    demand = [m.numerator * (scale // m.denominator) for m in q_mass]
+    scale = lcm(P.dens[n], Q.dens[n])
+    supply = _rescaled(P.nums[n], P.dens[n], scale)
+    demand = _rescaled(Q.nums[n], Q.dens[n], scale)
     total, plan, reachable = _hasse_flow(n, supply, demand)
     if total == sum(supply):
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
@@ -277,13 +288,18 @@ def monotonize(t: Mapping[str, Fraction]) -> dict[str, Fraction]:
     n = len(words[0])
     if len(words) != 2 ** n or any(len(w) != n for w in words):
         raise ValueError("need a total function on one level")
-    hull: dict[str, Fraction] = {}
-    for x in sorted(t, key=lambda w: (w.count("1"), w)):
-        best = Fraction(t[x])
-        for i, bit in enumerate(x):
-            if bit == "1":
-                best = max(best, hull[x[:i] + "0" + x[i + 1 :]])
-        hull[x] = best
+    return dict(zip(words, submask_hull([Fraction(t[x]) for x in words])))
+
+
+def submask_hull(row: list[V]) -> list[V]:
+    """Monotone hull of a level row: entry i becomes the max over the entries
+    whose index is a submask of i, i.e. over the coordinatewise-smaller words."""
+    hull = list(row)
+    step = 1
+    while step < len(hull):
+        for start in range(step, len(hull), 2 * step):
+            hull[start : start + step] = map(max, hull[start : start + step], hull[start - step : start])
+        step *= 2
     return hull
 
 
@@ -347,12 +363,10 @@ def sparsity_value(test: ExtendedTest, x: str) -> Fraction:
     validate_bits(x)
     if len(x) > test.depth:
         raise ValueError("prefix deeper than test")
-    best: Optional[Fraction] = None
-    for y in all_words(test.depth):
-        if leq_words(x, y[: len(x)]):
-            v = test.values[y]
-            if best is None or v < best:
-                best = v
-    if best is None:
-        raise AssertionError(f"no leaf dominates {x!r}")
-    return best
+    tail, i, leaves = test.depth - len(x), _index(x), test.nums[-1]
+    best = min(
+        min(leaves[y << tail : (y + 1) << tail])
+        for y in range(i, 1 << len(x))
+        if y & i == i
+    )
+    return Fraction(best, test.dens[-1])

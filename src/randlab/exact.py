@@ -7,6 +7,7 @@ inequalities are decided over the integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 
@@ -112,6 +113,12 @@ def fmt(v) -> str:
         raise TypeError("refusing to format a bool as a rational")
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
+
+
+def fmt_ratio(num: int, den: int) -> str:
+    """`fmt` of num/den for integers, den > 0, reduced by one gcd."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def is_power_of_two(f: Fraction) -> bool:

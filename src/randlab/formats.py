@@ -11,7 +11,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import parse_rational
+from .exact import fmt_ratio, parse_rational
 from .machines import MonotoneMachine, PrefixMachine
 from .measures import (
     Bernoulli,
@@ -34,6 +34,7 @@ __all__ = [
     "parse_sequence_file",
     "parse_machine_file",
     "parse_test_file",
+    "format_values",
     "render_test_file",
     "render_tsv",
 ]
@@ -204,11 +205,14 @@ def parse_test_file(path: str) -> ExtendedTest:
         raise ParseError(f"bad test file {path!r}: {exc}") from exc
 
 
+def format_values(test: ExtendedTest) -> list[tuple[str, str]]:
+    """(word, `num/den`) for every prefix of a test, in `prefixes` order."""
+    values = (fmt_ratio(v, den) for row, den in zip(test.nums, test.dens) for v in row)
+    return [(format_word(x), value) for x, value in zip(prefixes(test.depth), values)]
+
+
 def render_test_file(test: ExtendedTest) -> str:
-    lines = [f"test {test.depth}"]
-    for x in prefixes(test.depth):
-        value = test.values[x]
-        lines.append(f"{format_word(x)} {value.numerator}/{value.denominator}")
+    lines = [f"test {test.depth}", *(f"{x} {value}" for x, value in format_values(test))]
     return "\n".join(lines) + "\n"
 
 

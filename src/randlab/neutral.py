@@ -13,19 +13,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Sequence
 
 from .exact import Ext, INF, div_ratio
 from .machines import PrefixMachine
-from .measures import validate_bits
+from .measures import CapabilityError, validate_bits
 
 __all__ = [
+    "MAX_KUHN_CHAINS",
     "NeutralInvariantError",
     "PointMixture",
     "SpernerCell",
     "mixture_deficiency",
     "sperner_search",
 ]
+
+
+#: Most Kuhn chains a search may try: C(m+k-1, k-1) grid points for k
+#: sequences at resolution m, times (k-1)! orderings at each.  Three
+#: sequences at m = 48 try 2 450; four at m = 48 try 124 950.
+MAX_KUHN_CHAINS = 2 ** 17
 
 
 class NeutralInvariantError(AssertionError):
@@ -156,6 +164,12 @@ def sperner_search(
         raise ValueError("need at least one sequence")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    chains = comb(resolution + k - 1, k - 1) * factorial(k - 1)
+    if chains > MAX_KUHN_CHAINS:
+        raise CapabilityError(
+            f"Sperner search capped at {MAX_KUHN_CHAINS} Kuhn chains, "
+            f"got {chains} for {k} sequences at resolution {resolution}"
+        )
     for omega in sequences:
         validate_bits(omega)
         if len(omega) < depth:

@@ -12,11 +12,28 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import chain, compress
+from math import lcm
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exact import INF, Ext, div_ratio, fmt, is_inf, is_power_of_two, ceil_log2, floor_log2, mul_nonneg
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
-from .measures import MAX_DEPTH, DyadicMeasure, all_words, fill_down, fold_up, prefixes, validate_bits
+from .measures import (
+    MAX_DEPTH,
+    DyadicMeasure,
+    _doubled,
+    _index,
+    _integer_levels,
+    _rescaled,
+    _word,
+    _words,
+    all_words,
+    fill_down,
+    fold_up,
+    prefixes,
+    validate_bits,
+)
 
 __all__ = [
     "ExtendedTest",
@@ -40,22 +57,40 @@ __all__ = [
 
 
 class ExtendedTest:
-    """Nonnegative rational values on every prefix up to `depth`."""
+    """Nonnegative rational values on every prefix up to `depth`.
 
-    __slots__ = ("depth", "values")
+    Stored like a :class:`DyadicMeasure`: level k is `nums[k]` over
+    `dens[k]`, in word order.
+    """
+
+    __slots__ = ("depth", "nums", "dens", "_values")
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        self.depth = depth
-        self.values = {}
+        levels: list[list[Fraction]] = [[] for _ in range(depth + 1)]
         for x in prefixes(depth):
             if x not in values:
                 raise ValueError(f"test value missing for prefix {x!r}")
             v = Fraction(values[x])
             if v < 0:
                 raise ValueError(f"negative test value at prefix {x!r}")
-            self.values[x] = v
+            levels[len(x)].append(v)
+        self.depth = depth
+        self.nums, self.dens = _integer_levels(levels)
+        self._values: Optional[Mapping[str, Fraction]] = None
+
+    @classmethod
+    def _of_levels(cls, nums: list[list[int]], dens: list[int]) -> "ExtendedTest":
+        for length, row in enumerate(nums):
+            if min(row) < 0:
+                x = _word(next(i for i, v in enumerate(row) if v < 0), length)
+                raise ValueError(f"negative test value at prefix {x!r}")
+        test = object.__new__(cls)
+        test.depth = len(nums) - 1
+        test.nums, test.dens = nums, dens
+        test._values = None
+        return test
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
@@ -64,29 +99,70 @@ class ExtendedTest:
             validate_bits(x)
             if len(x) > depth:
                 raise ValueError(f"listed prefix {x!r} deeper than {depth}")
-        root = Fraction(listed.get("", 0))
-        return cls(depth, fill_down(depth, root, lambda v, x: max(Fraction(listed.get(x, 0)), v)))
+        return cls._of_levels(*_spread(depth, listed, max))
+
+    @property
+    def values(self) -> Mapping[str, Fraction]:
+        """Every prefix's value, read-only, built on first access."""
+        if self._values is None:
+            fractions = (Fraction(v, den) for row, den in zip(self.nums, self.dens) for v in row)
+            self._values = MappingProxyType(dict(zip(prefixes(self.depth), fractions)))
+        return self._values
 
     def value(self, x: str) -> Fraction:
-        return self.values[x]
+        if len(x) > self.depth or x.strip("01"):
+            raise KeyError(x)
+        return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
 
     def leaves(self) -> list[tuple[str, Fraction]]:
-        return [(x, self.values[x]) for x in all_words(self.depth)]
+        den = self.dens[-1]
+        return [(x, Fraction(v, den)) for x, v in zip(_words(self.depth), self.nums[-1])]
 
     def is_monotone(self) -> Optional[str]:
         """None when monotone under prefix extension, else the first bad child."""
-        return next(_non_monotone_children(self.values, self.depth), None)
+        bad = next(_non_monotone_children(self.nums, self.dens), None)
+        return None if bad is None else _word(bad[1], bad[0])
 
     def __repr__(self) -> str:
         return f"ExtendedTest(depth={self.depth})"
 
 
-def _non_monotone_children(values: Mapping[str, Fraction], depth: int) -> Iterator[str]:
-    """Every child valued below its parent, level by level, in word order."""
-    for x in prefixes(depth - 1):
-        for b in "01":
-            if values[x] > values[x + b]:
-                yield x + b
+def _spread(
+    depth: int, listed: Mapping[str, Fraction], combine: Callable[[int, int], int]
+) -> tuple[list[list[int]], list[int]]:
+    """Levels down to `depth` over one denominator: the root holds its listed
+    value (else 0), and every other prefix combines what its parent holds
+    with its own listed value."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    given = {x: Fraction(v) for x, v in listed.items()}
+    den = lcm(*(v.denominator for v in given.values()))
+    by_level: list[list[tuple[int, int]]] = [[] for _ in range(depth + 1)]
+    for x, v in given.items():
+        by_level[len(x)].append((_index(x), v.numerator * (den // v.denominator)))
+
+    def step(parent: list[int], length: int) -> list[int]:
+        child = _doubled(parent)
+        for i, v in by_level[length]:
+            child[i] = combine(child[i], v)
+        return child
+
+    root = by_level[0][0][1] if by_level[0] else 0
+    return fill_down(depth, root, step), [den] * (depth + 1)
+
+
+def _non_monotone_children(nums: list[list[int]], dens: list[int]) -> Iterator[tuple[int, int]]:
+    """(length, index) of every child valued below its parent, level by level, in word order."""
+    for length in range(1, len(nums)):
+        den = lcm(dens[length - 1], dens[length])
+        parents = _doubled(_rescaled(nums[length - 1], dens[length - 1], den))
+        row = _rescaled(nums[length], dens[length], den)
+        for i in compress(range(len(row)), map(operator.gt, parents, row)):
+            yield length, i
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 @dataclass
@@ -121,13 +197,11 @@ def validate_extended_test(
 
     bad = test.is_monotone()
     if bad is not None:
-        rows.append((bad, fmt(test.values[bad]), fmt(test.values[bad[:-1]]), "non-monotone"))
+        rows.append((bad, fmt(test.value(bad)), fmt(test.value(bad[:-1])), "non-monotone"))
         first = f"monotonicity fails at {bad!r}"
 
-    averages = [Fraction(0)] * (test.depth + 1)
-    for x in prefixes(test.depth):
-        averages[len(x)] += measure.mass(x) * test.values[x]
-    for length, average in enumerate(averages):
+    for length, (row, den) in enumerate(zip(test.nums, test.dens)):
+        average = Fraction(_dot(measure.nums[length], row), measure.dens[length] * den)
         ok_level = average <= 1
         rows.append((f"len={length}", fmt(average), fmt(1), "pass" if ok_level else "fail"))
         if not ok_level and first is None:
@@ -140,9 +214,7 @@ def validate_extended_test(
                 rows.append((a, b, "", "not-an-antichain"))
                 if first is None:
                     first = f"antichain members {a!r} and {b!r} are comparable"
-        total = sum(
-            (measure.mass(x) * test.values[x] for x in members), Fraction(0)
-        )
+        total = sum((measure.mass(x) * test.value(x) for x in members), Fraction(0))
         ok_set = total <= 1
         rows.append(("antichain", fmt(total), fmt(1), "pass" if ok_set else "fail"))
         if not ok_set and first is None:
@@ -164,8 +236,7 @@ def from_weights(
     )
     if budget > 1:
         raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
-    root = Fraction(weights.get("", 0))
-    return ExtendedTest(depth, fill_down(depth, root, lambda v, x: v + Fraction(weights.get(x, 0))))
+    return ExtendedTest._of_levels(*_spread(depth, weights, operator.add))
 
 
 def sum_test_values(
@@ -176,15 +247,28 @@ def sum_test_values(
     Returns (values, flags); `flags[x]` marks a 0/0 ratio somewhere on the
     path to x (the ratio is taken as 0 by convention).
     """
+    table = dict(zip(prefixes(measure.depth), chain.from_iterable(_running_sums(machine, measure))))
+    return {x: v for x, (v, _) in table.items()}, {x: f for x, (_, f) in table.items()}
+
+
+def _running_sums(machine: PrefixMachine, measure: DyadicMeasure) -> list[list[tuple[Ext, bool]]]:
+    """Levels of (running sum of m(t)/P(t), 0/0 flag on the path) for `sum_test_values`."""
     mass = machine.output_mass()
 
-    def step(parent: tuple[Ext, bool], x: str) -> tuple[Ext, bool]:
-        ratio, flagged = div_ratio(mass.get(x, Fraction(0)), measure.mass(x))
-        return parent[0] + ratio, parent[1] or flagged
+    def ratios(length: int) -> list[tuple[Ext, bool]]:
+        den = measure.dens[length]
+        return [
+            div_ratio(mass.get(x, Fraction(0)), Fraction(p, den))
+            for x, p in zip(_words(length), measure.nums[length])
+        ]
 
-    root = div_ratio(mass.get("", Fraction(0)), measure.mass(""))
-    table = fill_down(measure.depth, root, step)
-    return {x: v for x, (v, _) in table.items()}, {x: f for x, (_, f) in table.items()}
+    def step(parent: list[tuple[Ext, bool]], length: int) -> list[tuple[Ext, bool]]:
+        return [
+            (parent[i >> 1][0] + ratio, parent[i >> 1][1] or flagged)
+            for i, (ratio, flagged) in enumerate(ratios(length))
+        ]
+
+    return fill_down(measure.depth, ratios(0)[0], step)
 
 
 def div_ratio_ext(num: Ext, den: Fraction) -> tuple[Ext, bool]:
@@ -250,12 +334,14 @@ def deficiency_profile(
     validate_bits(x)
     if len(x) > measure.depth:
         raise ValueError("prefix deeper than measure table")
-    values, flags = sum_test_values(machine, measure)
+    sums = _running_sums(machine, measure)
     depth = measure.depth
-
-    leaves = all_words(depth)
-    tbar = fold_up({y: values[y] for y in leaves}, depth, min)
-    integral = fold_up({y: mul_nonneg(measure.mass(y), values[y]) for y in leaves}, depth, operator.add)
+    leaves = [v for v, _ in sums[depth]]
+    den = measure.dens[depth]
+    tbar = fold_up(leaves, min)
+    integral = fold_up(
+        [mul_nonneg(Fraction(p, den), v) for p, v in zip(measure.nums[depth], leaves)], operator.add
+    )
 
     mono_cache: dict[str, Fraction] = {}
     if monotone is not None:
@@ -271,22 +357,24 @@ def deficiency_profile(
         t = x[:length]
         ratio, _ = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
         running_sup = max(running_sup, ratio)
-        that, _ = div_ratio_ext(integral[t], measure.mass(t))
+        i = _index(t)
+        that, _ = div_ratio_ext(integral[length][i], measure.mass(t))
         mono_ratio: Optional[Ext] = None
         if monotone is not None:
             mono_ratio, _ = div_ratio(mono_cache[t], measure.mass(t))
-        if running_sup > values[t]:
+        running_sum, flagged = sums[length][i]
+        if running_sup > running_sum:
             raise AssertionError("running sup exceeded running sum")
         rows.append(
             ProfileRow(
                 prefix=t,
                 m_ratio=ratio,
-                running_sum=values[t],
+                running_sum=running_sum,
                 running_sup=running_sup,
-                tbar=tbar[t],
+                tbar=tbar[length][i],
                 that=that,
                 mono_ratio=mono_ratio,
-                flagged=flags[t],
+                flagged=flagged,
             )
         )
     return DeficiencyProfile(rows)
@@ -297,8 +385,14 @@ def min_extension(test: ExtendedTest, x: str) -> Fraction:
     validate_bits(x)
     if len(x) > test.depth:
         raise ValueError("prefix deeper than test")
-    tail = test.depth - len(x)
-    return min(test.values[x + suffix] for suffix in all_words(tail))
+    return Fraction(min(_cylinder(test.nums[-1], x, test.depth)), test.dens[-1])
+
+
+def _cylinder(row: list[int], x: str, depth: int) -> list[int]:
+    """The slice of a level-`depth` row under the cylinder at x."""
+    tail = depth - len(x)
+    start = _index(x) << tail
+    return row[start : start + (1 << tail)]
 
 
 def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> Ext:
@@ -310,12 +404,9 @@ def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> E
     validate_bits(x)
     if not len(x) <= test.depth <= measure.depth:
         raise ValueError("need |x| <= test depth <= measure depth")
-    tail = test.depth - len(x)
-    weighted = sum(
-        (measure.mass(x + s) * test.values[x + s] for s in all_words(tail)),
-        Fraction(0),
-    )
-    value, _ = div_ratio(weighted, measure.mass(x))
+    depth = test.depth
+    weighted = _dot(_cylinder(measure.nums[depth], x, depth), _cylinder(test.nums[depth], x, depth))
+    value, _ = div_ratio(Fraction(weighted, measure.dens[depth] * test.dens[depth]), measure.mass(x))
     return value
 
 
@@ -335,31 +426,57 @@ class MartingaleReport:
 
 
 def martingale_check(
-    g: Mapping[str, Ext], measure: DyadicMeasure, mode: str = "martingale"
+    g: Union[ExtendedTest, Mapping[str, Ext]], measure: DyadicMeasure, mode: str = "martingale"
 ) -> MartingaleReport:
     """Verify P(x)g(x) = (or >=) P(x0)g(x0) + P(x1)g(x1) at every interior x.
 
-    The products use the convention 0 * inf = 0, so infinite values on
-    measure-null prefixes do not poison the check.
+    A mapping g may hold `INF`; it is defined up to one less than the length
+    of its first missing prefix.  The products use the convention
+    0 * inf = 0, so infinite values on measure-null prefixes do not poison
+    the check.
     """
     if mode not in ("martingale", "supermartingale"):
         raise ValueError(f"unknown mode {mode!r}")
-    if "" not in g:
-        raise ValueError("g must be defined on the empty prefix")
-    # g's level is one less than the length of its first missing prefix
-    scan = min(measure.depth + 1, MAX_DEPTH)
-    missing = next((x for x in prefixes(scan) if x not in g), None)
-    level = scan if missing is None else len(missing) - 1
+    if isinstance(g, ExtendedTest):
+        level = g.depth
+    else:
+        if "" not in g:
+            raise ValueError("g must be defined on the empty prefix")
+        scan = min(measure.depth + 1, MAX_DEPTH)
+        missing = next((x for x in prefixes(scan) if x not in g), None)
+        level = scan if missing is None else len(missing) - 1
     if level > measure.depth:
         raise ValueError("g defined deeper than the measure table")
-    product = {x: mul_nonneg(measure.mass(x), g[x]) for x in prefixes(level)}
+    products = []
+    for length in range(level + 1):
+        masses = measure.nums[length]
+        if isinstance(g, ExtendedTest):
+            product, den = list(map(operator.mul, masses, g.nums[length])), g.dens[length]
+        else:
+            row, den = _extended_row([g[x] for x in all_words(length)])
+            product = [0 if p == 0 else p * v for p, v in zip(masses, row)]  # 0 * inf = 0
+        products.append((product, measure.dens[length] * den))
+    fails = operator.ne if mode == "martingale" else operator.lt
     failures = []
-    for x in prefixes(level - 1):
-        lhs, rhs = product[x], product[x + "0"] + product[x + "1"]
-        holds = lhs == rhs if mode == "martingale" else lhs >= rhs
-        if not holds:
-            failures.append((x, lhs, rhs))
+    for length in range(level):
+        (above, da), (below, db) = products[length], products[length + 1]
+        den = lcm(da, db)
+        lhs = _rescaled(above, da, den)
+        rhs = _rescaled(list(map(operator.add, below[0::2], below[1::2])), db, den)
+        for i in compress(range(len(lhs)), map(fails, lhs, rhs)):
+            failures.append((_word(i, length), _ratio(lhs[i], den), _ratio(rhs[i], den)))
     return MartingaleReport(ok=not failures, mode=mode, failures=failures)
+
+
+def _extended_row(values: list[Ext]) -> tuple[list, int]:
+    """A level of rationals and `INF` as integer numerators (`INF` kept) over one denominator."""
+    values = [v if is_inf(v) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values if not is_inf(v)))
+    return [v if is_inf(v) else v.numerator * (den // v.denominator) for v in values], den
+
+
+def _ratio(num, den: int) -> Ext:
+    return INF if is_inf(num) else Fraction(num, den)
 
 
 def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
@@ -375,23 +492,24 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
-    mass_at: dict[Fraction, Fraction] = {}
-    for x, v in test.leaves():
-        mass_at[v] = mass_at.get(v, Fraction(0)) + measure.mass(x)
+    td, md = test.dens[-1], measure.dens[test.depth]
+    mass_at: dict[int, int] = {}
+    for v, m in zip(test.nums[-1], measure.nums[test.depth]):
+        mass_at[v] = mass_at.get(v, 0) + m
     distinct = sorted(mass_at)
-    tails: dict[Fraction, Fraction] = {}
-    running = Fraction(0)
+    tails: dict[int, int] = {}
+    running = 0
     for v in reversed(distinct):
         running += mass_at[v]
         tails[v] = running
     rows = []
     witness = None
     previous = Fraction(0)
-    for v in distinct:
-        if v == 0:
+    for num in distinct:
+        if num == 0:
             continue
-        tail = tails[v]
-        ok_v = v * tail <= 1
+        v, tail = Fraction(num, td), Fraction(tails[num], md)
+        ok_v = num * tails[num] <= td * md
         rows.append((f"value={fmt(v)}", fmt(tail), fmt(v * tail), "pass" if ok_v else "fail"))
         if not ok_v and witness is None:
             lower = max(previous, 1 / tail)
@@ -454,12 +572,13 @@ def prob_to_avg_convert(
         raise ValueError(
             f"input is not probability-bounded: witness N={fmt(check.witness[0])}"
         )
-    leaves = {y: convert_value(test.values[y]) for y in all_words(test.depth)}
-    values = fold_up(leaves, test.depth, min)
-    converted = ExtendedTest(test.depth, values)
-    average = sum(
-        (measure.mass(y) * values[y] for y in all_words(test.depth)), Fraction(0)
-    )
+    td = test.dens[-1]
+    damped = {v: convert_value(Fraction(v, td)) for v in set(test.nums[-1])}
+    den = lcm(*(f.denominator for f in damped.values()))
+    scaled = {v: f.numerator * (den // f.denominator) for v, f in damped.items()}
+    leaves = list(map(scaled.__getitem__, test.nums[-1]))
+    converted = ExtendedTest._of_levels(fold_up(leaves, min), [den] * (test.depth + 1))
+    average = Fraction(_dot(measure.nums[test.depth], leaves), measure.dens[test.depth] * den)
     ok = average <= CONVERT_AVG_BOUND
     if not ok:
         raise AssertionError(

@@ -186,7 +186,7 @@ def class_plus_separator(
     else:
         if len(x) > b.depth:
             raise ValueError("prefix deeper than the class test")
-        class_value = b.values[x]
+        class_value = b.value(x)
     sep = separator_value(x, p)
     combined = max(class_value, sep.scaled_value)
     return ClassSeparatorResult(

@@ -59,7 +59,7 @@ def test_criterion_01_measure_consistency():
     for name, spec in sorted(shipped_measure_specs().items()):
         depth = min(10, spec.measure.depth) if isinstance(spec, Table) else 10
         measure = realize(spec, depth)
-        assert DyadicMeasure.check(measure._mass, depth) is None, name
+        assert measure.check() is None, name
         for length in range(depth + 1):
             assert sum((v for _, v in measure.level(length)), F(0)) == 1
     report("criterion 1: measure consistency", 1.0, started)

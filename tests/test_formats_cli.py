@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,9 @@ from randlab.formats import (
     render_test_file,
 )
 from randlab.machines import MonotoneMachine, PrefixMachine
+from randlab.bernoulli import MAX_URN_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
+from randlab.neutral import MAX_KUHN_CHAINS
 
 
 def write(tmp_path, name, content):
@@ -196,6 +199,22 @@ def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     assert captured.err == f"capability error: prefix tables are capped at depth {MAX_DEPTH}, got {deep}\n"
     assert captured.out == ""
     assert randlab.coupling.CapabilityError is CapabilityError
+
+
+@pytest.mark.parametrize("case", ["urn-n", "neutral-grid"])
+def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
+    # one past each cap: four sequences try C(52, 3) * 3! Kuhn chains at
+    # resolution 49, against C(51, 3) * 3! at 48, which the cap admits
+    assert math.comb(51, 3) * 6 <= MAX_KUHN_CHAINS < math.comb(52, 3) * 6
+    seqs = [write(tmp_path, f"{i}.seq", f"{i:02b}" + "0" * 6) for i in range(4)]
+    argv = {
+        "urn-n": ["urn-check", str(MAX_URN_N + 1)],
+        "neutral-grid": ["neutral", *seqs, "--depth", "2", "--resolution", "49"],
+    }[case]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("capability error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cli_certify_bernoulli_witness(tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import assume, given, strategies as st
 
 from helpers import reference_upcrossings
 from randlab.measures import (
+    MAX_DEPTH,
     Bernoulli,
+    CapabilityError,
     DyadicMeasure,
     MeasureError,
     Mixture,
@@ -205,12 +207,20 @@ def test_realize_agrees_with_bernoulli_mass():
 @given(st.integers(min_value=0, max_value=6), st.data())
 def test_walks_meet_their_definitions(depth, data):
     assert list(prefixes(depth)) == [x for n in range(depth + 1) for x in all_words(n)]
-    handed = []  # each step sees its parent's value; a word's value is the word
-    down = fill_down(depth, "", lambda v, x: handed.append((x, v)) or x)
-    assert list(down.items()) == [(x, x) for x in prefixes(depth)]
-    assert sorted(handed) == [(x, x[:-1]) for x in sorted(prefixes(depth)) if x]
-    leaves = {x: data.draw(st.integers(min_value=-5, max_value=5)) for x in all_words(depth)}
-    up = fold_up(leaves, depth, operator.add)
-    assert sorted(up) == sorted(prefixes(depth))
-    for x in prefixes(depth):
-        assert up[x] == sum(v for y, v in leaves.items() if y.startswith(x))
+    handed = []  # each step sees its parent level; an entry's value is its word
+    down = fill_down(depth, "", lambda above, n: handed.append((n, above)) or all_words(n))
+    assert down == [all_words(n) for n in range(depth + 1)]
+    assert handed == [(n, all_words(n - 1)) for n in range(1, depth + 1)]
+    leaves = [data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(2 ** depth)]
+    up = fold_up(leaves, operator.add)
+    assert [len(level) for level in up] == [2 ** n for n in range(depth + 1)]
+    for n in range(depth + 1):
+        for i, x in enumerate(all_words(n)):
+            assert up[n][i] == sum(v for y, v in zip(all_words(depth), leaves) if y.startswith(x))
+
+
+def test_walks_refuse_past_the_depth_cap():
+    with pytest.raises(CapabilityError):
+        fill_down(MAX_DEPTH + 1, 0, lambda above, n: above * 2)
+    with pytest.raises(CapabilityError):
+        fold_up([0] * 2 ** (MAX_DEPTH + 1), operator.add)

@@ -167,7 +167,7 @@ class DyadicMeasure:
     def __init__(self, depth: int, mass: Mapping[str, Fraction], validate: bool = True):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        levels: list[list[Fraction]] = [[] for _ in range(depth + 1)]
+        levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
         for x in prefixes(depth):
             if x not in mass:
                 raise MeasureError(f"missing mass for prefix {x!r}", x)

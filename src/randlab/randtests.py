@@ -22,6 +22,7 @@ from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
 from .measures import (
     MAX_DEPTH,
     DyadicMeasure,
+    _capped,
     _doubled,
     _index,
     _integer_levels,
@@ -68,7 +69,7 @@ class ExtendedTest:
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        levels: list[list[Fraction]] = [[] for _ in range(depth + 1)]
+        levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
         for x in prefixes(depth):
             if x not in values:
                 raise ValueError(f"test value missing for prefix {x!r}")
@@ -137,7 +138,7 @@ def _spread(
         raise ValueError("depth must be nonnegative")
     given = {x: Fraction(v) for x, v in listed.items()}
     den = lcm(*(v.denominator for v in given.values()))
-    by_level: list[list[tuple[int, int]]] = [[] for _ in range(depth + 1)]
+    by_level: list[list[tuple[int, int]]] = [[] for _ in range(_capped(depth) + 1)]
     for x, v in given.items():
         by_level[len(x)].append((_index(x), v.numerator * (den // v.denominator)))
 

@@ -5,6 +5,7 @@ definition it replaced (`helpers.reference_*`) on random measures, mixtures
 with coprime denominators and tests at depth 0-6.
 """
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -27,9 +28,10 @@ from helpers import (
 )
 from randlab.coupling import monotonize, sparsity_value, submask_hull
 from randlab.exact import INF, fmt
-from randlab.measures import DyadicMeasure, MeasureError, all_words, prefixes, realize
+from randlab.measures import CapabilityError, DyadicMeasure, MeasureError, all_words, prefixes, realize
 from randlab.randtests import (
     ExtendedTest,
+    from_weights,
     conditional_average,
     martingale_check,
     min_extension,
@@ -161,3 +163,28 @@ def test_words_are_checked_before_they_become_indices(word):
             lookup(word)
     with pytest.raises(ValueError):
         ExtendedTest.from_partial(3, {word: F(1)})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: DyadicMeasure(d, {}),
+        lambda d: DyadicMeasure.from_leaves(d, {}),
+        lambda d: ExtendedTest(d, {}),
+        lambda d: ExtendedTest.from_partial(d, {}),
+        lambda d: from_weights({}, realize(random_spec(random.Random(0), 0), 0), d),
+    ],
+    ids=["measure", "from-leaves", "test", "from-partial", "from-weights"],
+)
+def test_deep_tables_are_refused_before_anything_is_allocated(build):
+    # a `test 1000000` header must cost nothing; a per-level list built
+    # before the cap would take tens of megabytes here (and far more for
+    # a longer header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            build(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -1,7 +1,9 @@
 """Malformed input files fed through the four parsers and `cli.main`.
 
 Whatever the files hold, a command exits 0, 1 or 2 and says at most one
-line on stderr, never a traceback: 3 would be an internal failure.
+line on stderr, never a traceback: 3 would be an internal failure.  Words
+given on the command line are drawn like the words in the files, so none
+looks like an option; argparse's own usage errors are out of scope.
 """
 import io
 import os

@@ -3,7 +3,8 @@
 Exit codes: 0 when every asserted property holds, 1 for a certified
 violation (the report carries a machine-checkable witness), 2 for usage,
 parse, or capability errors, 3 for an internal failure (a broken invariant
-or any other unexpected exception), reported as one stderr line.  Output is
+or any other unexpected exception).  Every exit 2 or 3 is one stderr line;
+a malformed command line reads `error: <argparse's message>`.  Output is
 TSV with a header row, on stdout or `--out`, and is byte-for-byte
 deterministic for identical inputs.
 
@@ -14,6 +15,7 @@ one place that renders a report, writes it, and maps `ok` to an exit code.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import bernoulli as bl
@@ -21,7 +23,7 @@ from . import coupling as cp
 from . import neutral as nt
 from . import randtests as rt
 from . import separator as sp
-from .exact import fmt, fmt_ratio, parse_rational
+from .exact import fmt, fmt_ratio, fmt_ratios, parse_rational
 from .formats import (
     ParseError,
     format_values,
@@ -181,7 +183,7 @@ def _monotone_criterion(args):
 def _monotonize(args):
     test = parse_test_file(args.test)
     hull, den = cp.submask_hull(test.nums[-1]), test.dens[-1]
-    return ("word", "value"), [(x, fmt_ratio(v, den)) for x, v in zip(_words(test.depth), hull)], True
+    return ("word", "value"), list(zip(_words(test.depth), fmt_ratios(hull, den))), True
 
 
 def _sparsity(args):
@@ -290,8 +292,17 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing the usage block and exiting,
+    so that `main` reports it as one `error:` line like every other exit 2;
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randlab",
         description="Exact-rational laboratory for randomness tests on binary prefixes.",
     )
@@ -308,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
-    try:
+        # The parser is now about 850 objects (110 KiB) of cyclic garbage.
+        # Collected young it costs a fraction of a millisecond; left to the
+        # next automatic collection it survives into the request's own peak.
+        gc.collect(1)
         try:
             header, rows, ok = args.run(args)
         except (MachineError, MeasureError) as exc:
@@ -325,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return OK if ok else VIOLATION
+    except SystemExit as exc:  # `--help` prints its text and exits 0
+        return USAGE if exc.code not in (0, None) else OK
     except CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return USAGE

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Sequence, Union
 
 
 class _Infinity:
@@ -119,6 +119,12 @@ def fmt_ratio(num: int, den: int) -> str:
     """`fmt` of num/den for integers, den > 0, reduced by one gcd."""
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
+
+
+def fmt_ratios(row: Sequence[int], den: int) -> list[str]:
+    """`fmt_ratio` of every numerator in a row over one `den`, each distinct numerator once."""
+    text = {v: fmt_ratio(v, den) for v in set(row)}
+    return list(map(text.__getitem__, row))
 
 
 def is_power_of_two(f: Fraction) -> bool:

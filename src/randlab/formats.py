@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import fmt_ratio, parse_rational
+from .exact import fmt_ratios, parse_rational
 from .machines import MonotoneMachine, PrefixMachine
 from .measures import (
     Bernoulli,
@@ -64,12 +66,7 @@ def format_word(word: str) -> str:
 
 
 def _meaningful_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> MeasureSpec:
@@ -172,7 +169,12 @@ def parse_machine_file(path: str) -> PrefixMachine | MonotoneMachine:
 
 def parse_test_file(path: str) -> ExtendedTest:
     """Header `test <depth>`, lines `<prefix> <num>/<den>`; unlisted prefixes
-    take the maximum over their listed ancestors."""
+    take the maximum over their listed ancestors.
+
+    Lines are checked in file order.  Each distinct value token is parsed
+    once and scaled once to the lcm of the denominators, and the integer
+    numerators go straight into the table's level rows.
+    """
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
@@ -188,17 +190,29 @@ def parse_test_file(path: str) -> ExtendedTest:
         depth = int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad test depth in {path!r}") from exc
-    listed: dict[str, Fraction] = {}
+    # Lines with the same value token share one (num, den) in lowest terms,
+    # so no line keeps a token or a value of its own alive; once the lcm is
+    # known, each listed value is replaced in place by its numerator over it.
+    rationals: dict[str, tuple[int, int]] = {}
+    listed: dict[str, tuple[int, int] | int] = {}
     for line in lines[1:]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"bad test line {line!r} in {path!r}")
-        word = parse_word(tokens[0])
+        word, token = parse_word(tokens[0]), tokens[1]
         if word in listed:
             raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
-        listed[word] = parse_rational(tokens[1])
+        value = rationals.get(token)
+        if value is None:
+            fraction = parse_rational(token)
+            value = rationals[token] = fraction.numerator, fraction.denominator
+        listed[word] = value
+    den = lcm(*(d for _, d in rationals.values()))
+    scaled = {value: value[0] * (den // value[1]) for value in rationals.values()}
+    for word, value in listed.items():
+        listed[word] = scaled[value]
     try:
-        return ExtendedTest.from_partial(depth, listed)
+        return ExtendedTest.from_numerators(depth, listed, den)
     except CapabilityError:
         raise
     except ValueError as exc:
@@ -207,17 +221,18 @@ def parse_test_file(path: str) -> ExtendedTest:
 
 def format_values(test: ExtendedTest) -> list[tuple[str, str]]:
     """(word, `num/den`) for every prefix of a test, in `prefixes` order."""
-    values = (fmt_ratio(v, den) for row, den in zip(test.nums, test.dens) for v in row)
-    return [(format_word(x), value) for x, value in zip(prefixes(test.depth), values)]
+    words = list(prefixes(test.depth))
+    words[0] = format_word(words[0])
+    return list(zip(words, chain.from_iterable(map(fmt_ratios, test.nums, test.dens))))
 
 
 def render_test_file(test: ExtendedTest) -> str:
-    lines = [f"test {test.depth}", *(f"{x} {value}" for x, value in format_values(test))]
+    lines = [f"test {test.depth}", *map(" ".join, format_values(test))]
     return "\n".join(lines) + "\n"
 
 
 def render_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    out = ["\t".join(header)]
-    for row in rows:
-        out.append("\t".join(str(cell) for cell in row))
-    return "\n".join(out) + "\n"
+    """Tab-separated lines; every cell is already text."""
+    lines = ["\t".join(header)]
+    lines.extend(map("\t".join, rows))
+    return "\n".join(lines) + "\n"

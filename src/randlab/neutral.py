@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Sequence
+from math import comb, factorial, lcm
+from typing import Callable, Iterator, Sequence
 
 from .exact import Ext, INF, div_ratio
 from .machines import PrefixMachine
@@ -109,38 +109,76 @@ def mixture_deficiency(
     return total
 
 
-def _grid_points(k: int, m: int) -> list[tuple[int, ...]]:
-    """Integer barycentric points: nonnegative k-tuples summing to m."""
-    points = []
-    for combo in itertools.combinations_with_replacement(range(k), m):
-        counts = [0] * k
-        for idx in combo:
-            counts[idx] += 1
-        points.append(tuple(counts))
-    return sorted(points)
+def _grid_points(k: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Integer barycentric points, nonnegative k-tuples summing to m, in sorted order."""
+    if k == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _grid_points(k - 1, m - first):
+            yield (first, *rest)
 
 
-def _kuhn_cells(base: tuple[int, ...], m: int) -> list[list[tuple[int, ...]]]:
-    """Kuhn-subdivision cells anchored at `base`: each permutation of the
-    unit transfers coordinate i -> i+1 yields a chain of k vertices; only
-    chains staying nonnegative are cells."""
-    k = len(base)
-    cells = []
-    for perm in itertools.permutations(range(k - 1)):
+def _kuhn_cells(base: tuple[int, ...], moves: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+    """Kuhn-subdivision cells anchored at `base`: each permutation in `moves`
+    of the unit transfers coordinate i -> i+1 yields a chain of k vertices;
+    only chains staying nonnegative are cells."""
+    for perm in moves:
         chain = [base]
-        good = True
         for move in perm:
-            prev = chain[-1]
-            nxt = list(prev)
+            nxt = list(chain[-1])
+            if not nxt[move]:
+                break
             nxt[move] -= 1
             nxt[move + 1] += 1
-            if nxt[move] < 0:
-                good = False
-                break
             chain.append(tuple(nxt))
-        if good:
-            cells.append(chain)
-    return cells
+        else:
+            yield chain
+
+
+def _labeller(
+    sequences: Sequence[str], machine: PrefixMachine, depth: int, m: int
+) -> Callable[[tuple[int, ...]], tuple[int, Fraction]]:
+    """The Sperner label of a grid point (counts c summing to m) and its value:
+    the smallest supported i with `mixture_deficiency` at most 1.
+
+    Every prefix x of sequence i with machine mass lies in the cylinders of
+    the sequences sharing x, a set S that always holds i.  Grouping the
+    masses by S, the deficiency at c is (m / D) * sum_S a_S / c(S) with
+    integers a_S over one denominator D and c(S) = sum of c_j over S, which
+    is positive when c_i is; so `<= 1` is one integer comparison, and a
+    `Fraction` is built only for the label's value.
+    """
+    mass = machine.output_mass()
+    heads = [omega[:depth] for omega in sequences]
+    terms = []
+    for head in heads:
+        groups: dict[tuple[int, ...], Fraction] = {}
+        for length in range(depth + 1):
+            x = head[:length]
+            w = mass.get(x)
+            if w:
+                sharing = tuple(j for j, h in enumerate(heads) if h.startswith(x))
+                groups[sharing] = groups.get(sharing, 0) + w
+        den = lcm(*(a.denominator for a in groups.values()))
+        terms.append((den, [(s, a.numerator * (den // a.denominator)) for s, a in groups.items()]))
+
+    def label_of(point: tuple[int, ...]) -> tuple[int, Fraction]:
+        for i, (den, groups) in enumerate(terms):
+            if not point[i]:
+                continue
+            num, div = 0, 1
+            for sharing, a in groups:
+                total = sum(map(point.__getitem__, sharing))
+                num, div = num * total + a * div, div * total
+            if m * num <= den * div:
+                return i, Fraction(m * num, den * div)
+        raise NeutralInvariantError(
+            f"no admissible label at grid point {point}: "
+            "machine output mass exceeds 1"
+        )
+
+    return label_of
 
 
 def sperner_search(
@@ -179,26 +217,10 @@ def sperner_search(
         raise ValueError("sequences must be pairwise distinct on their first `depth` bits")
 
     m = resolution
+    label_of = _labeller(sequences, machine, depth, m)
 
     def to_mixture(point: tuple[int, ...]) -> PointMixture:
         return PointMixture(tuple(Fraction(c, m) for c in point))
-
-    labels: dict[tuple[int, ...], tuple[int, Fraction]] = {}
-
-    def label_of(point: tuple[int, ...]) -> tuple[int, Fraction]:
-        if point not in labels:
-            mix = to_mixture(point)
-            for i in mix.support():
-                value = mixture_deficiency(mix, sequences, i, machine, depth)
-                if value is not INF and value <= 1:
-                    labels[point] = (i, value)
-                    break
-            else:
-                raise NeutralInvariantError(
-                    f"no admissible label at grid point {point}: "
-                    "machine output mass exceeds 1"
-                )
-        return labels[point]
 
     if k == 1:
         point = (m,)
@@ -210,11 +232,18 @@ def sperner_search(
             diameter=Fraction(0),
         )
 
+    labels: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+    everyone = set(range(k))
+    moves = list(itertools.permutations(range(k - 1)))
     diameter_bound = Fraction(2 * (k - 1), m)
     for base in _grid_points(k, m):
-        for chain in _kuhn_cells(base, m):
-            seen = [label_of(v) for v in chain]
-            if {idx for idx, _ in seen} == set(range(k)):
+        for chain in _kuhn_cells(base, moves):
+            seen = []
+            for v in chain:
+                if v not in labels:
+                    labels[v] = label_of(v)
+                seen.append(labels[v])
+            if {idx for idx, _ in seen} == everyone:
                 return SpernerCell(
                     vertices=tuple(to_mixture(v) for v in chain),
                     labels=tuple(idx for idx, _ in seen),

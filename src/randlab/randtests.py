@@ -96,11 +96,16 @@ class ExtendedTest:
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
         """Monotone closure: unlisted prefixes get the max over listed ancestors."""
+        return cls.from_numerators(depth, *_over_lcm(listed))
+
+    @classmethod
+    def from_numerators(cls, depth: int, listed: Mapping[str, int], den: int) -> "ExtendedTest":
+        """`from_partial` of the values `listed[x] / den`."""
         for x in listed:
-            validate_bits(x)
-            if len(x) > depth:
+            if len(x) > depth or x.strip("01"):
+                validate_bits(x)  # a word that is not binary is named as such first
                 raise ValueError(f"listed prefix {x!r} deeper than {depth}")
-        return cls._of_levels(*_spread(depth, listed, max))
+        return cls._of_levels(*_spread(depth, listed, den, max))
 
     @property
     def values(self) -> Mapping[str, Fraction]:
@@ -128,19 +133,24 @@ class ExtendedTest:
         return f"ExtendedTest(depth={self.depth})"
 
 
+def _over_lcm(values: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+    """The values' numerators over the lcm of their denominators, and that lcm."""
+    given = {x: Fraction(v) for x, v in values.items()}
+    den = lcm(*(v.denominator for v in given.values()))
+    return {x: v.numerator * (den // v.denominator) for x, v in given.items()}, den
+
+
 def _spread(
-    depth: int, listed: Mapping[str, Fraction], combine: Callable[[int, int], int]
+    depth: int, listed: Mapping[str, int], den: int, combine: Callable[[int, int], int]
 ) -> tuple[list[list[int]], list[int]]:
-    """Levels down to `depth` over one denominator: the root holds its listed
-    value (else 0), and every other prefix combines what its parent holds
-    with its own listed value."""
+    """Levels down to `depth` over `den`: the root holds its listed
+    numerator (else 0), and every other prefix combines what its parent
+    holds with its own listed numerator."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    given = {x: Fraction(v) for x, v in listed.items()}
-    den = lcm(*(v.denominator for v in given.values()))
     by_level: list[list[tuple[int, int]]] = [[] for _ in range(_capped(depth) + 1)]
-    for x, v in given.items():
-        by_level[len(x)].append((_index(x), v.numerator * (den // v.denominator)))
+    for x, v in listed.items():
+        by_level[len(x)].append((_index(x), v))
 
     def step(parent: list[int], length: int) -> list[int]:
         child = _doubled(parent)
@@ -237,7 +247,7 @@ def from_weights(
     )
     if budget > 1:
         raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
-    return ExtendedTest._of_levels(*_spread(depth, weights, operator.add))
+    return ExtendedTest._of_levels(*_spread(depth, *_over_lcm(weights), operator.add))
 
 
 def sum_test_values(

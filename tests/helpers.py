@@ -5,6 +5,7 @@ decided exactly; the RNG only chooses structure, never precision.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from randlab.measures import (
     block_frequency,
     prefixes,
 )
+from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
 from randlab.randtests import convert_value, ExtendedTest, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -269,3 +271,58 @@ def random_listed(rng: random.Random, depth: int, inf: bool = False) -> dict:
         x = random_word(rng, rng.randint(0, depth))
         listed[x] = INF if inf and rng.random() < 0.2 else Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7)))
     return listed
+
+
+def reference_sperner_search(sequences, machine: PrefixMachine, depth: int, resolution: int) -> SpernerCell:
+    """The Sperner search with every label taken from `mixture_deficiency`
+    over `PointMixture`s, the grid listed by sorting the multisets of
+    `combinations_with_replacement`, and the Kuhn chains rebuilt at every
+    base point: the definition that `sperner_search` must agree with."""
+    k, m = len(sequences), resolution
+
+    def to_mixture(point):
+        return PointMixture(tuple(Fraction(c, m) for c in point))
+
+    labels = {}
+
+    def label_of(point):
+        if point not in labels:
+            mix = to_mixture(point)
+            for i in mix.support():
+                value = mixture_deficiency(mix, sequences, i, machine, depth)
+                if value is not INF and value <= 1:
+                    labels[point] = (i, value)
+                    break
+            else:
+                raise NeutralInvariantError(f"no admissible label at grid point {point}")
+        return labels[point]
+
+    if k == 1:
+        idx, value = label_of((m,))
+        return SpernerCell((to_mixture((m,)),), (idx,), (value,), Fraction(0))
+    points = []
+    for combo in itertools.combinations_with_replacement(range(k), m):
+        counts = [0] * k
+        for idx in combo:
+            counts[idx] += 1
+        points.append(tuple(counts))
+    for base in sorted(points):
+        for perm in itertools.permutations(range(k - 1)):
+            chain = [base]
+            for move in perm:
+                nxt = list(chain[-1])
+                nxt[move] -= 1
+                nxt[move + 1] += 1
+                if nxt[move] < 0:
+                    break
+                chain.append(tuple(nxt))
+            else:
+                seen = [label_of(v) for v in chain]
+                if {idx for idx, _ in seen} == set(range(k)):
+                    return SpernerCell(
+                        tuple(to_mixture(v) for v in chain),
+                        tuple(idx for idx, _ in seen),
+                        tuple(value for _, value in seen),
+                        Fraction(2 * (k - 1), m),
+                    )
+    raise NeutralInvariantError("no fully labelled cell found")

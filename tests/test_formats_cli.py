@@ -2,7 +2,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_from_partial
 import randlab.coupling
 from randlab.cli import main
 from randlab.formats import (
@@ -18,6 +20,8 @@ from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.bernoulli import MAX_URN_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
 from randlab.neutral import MAX_KUHN_CHAINS
+from randlab.exact import parse_rational
+from randlab.randtests import ExtendedTest
 
 
 def write(tmp_path, name, content):
@@ -290,3 +294,106 @@ def test_cli_deterministic_output(tmp_path):
     assert run_cli("validate-test", test, "--measure", uni, "--out", out1) == 0
     assert run_cli("validate-test", test, "--measure", uni, "--out", out2) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+# Test files against the parse that builds every value as a `Fraction`
+# first, and malformed test files with the lines each one has always
+# printed: checks run line by line in file order, so the first bad line
+# wins, and only then come the depth checks of the listed prefixes.
+
+token = st.one_of(
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 24), st.integers(-3, 12).filter(bool)),
+    st.integers(0, 9).map(str),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda depth: st.tuples(
+            st.just(depth),
+            st.dictionaries(st.text(alphabet="01", max_size=depth + 1), token, max_size=12),
+            st.booleans(),
+        )
+    )
+)
+def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
+    depth, listed, comments = case
+    lines = [f"test {depth}"]
+    for x, t in listed.items():
+        lines += ["# note", "", f"  {x or '-'} {t}  "] if comments else [f"{x or '-'} {t}"]
+    path = write(tmp_path_factory.mktemp("parse"), "t.test", "\n".join(lines) + "\n")
+    values = {x: parse_rational(t) for x, t in listed.items()}
+    try:
+        expected = ExtendedTest.from_partial(depth, values)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_test_file(path)
+        assert str(raised.value) == f"bad test file {path!r}: {exc}"
+        return
+    test = parse_test_file(path)
+    assert (test.depth, test.nums, test.dens) == (expected.depth, expected.nums, expected.dens)
+    assert dict(test.values) == reference_from_partial(depth, values)
+
+
+@pytest.mark.parametrize(
+    "content, code, message",
+    [
+        ("test 2\n0x 1/2\n", 2, "error: not a binary word: '0x'"),
+        ("test 2\n01 1//2\n", 2, "error: bad rational literal '1//2'"),
+        ("test 2\n01 1/0\n", 2, "error: bad rational literal '1/0'"),
+        ("test 2\n- 1/-3\n", 2, "error: bad test file {path}: negative test value at prefix ''"),
+        ("test 2\n- 1/2\n0 1/-3\n", 0, ""),  # below a listed root, max(1/2, -1/3) is 1/2
+        ("test 2\n01 1\n01 2\n", 2, "error: duplicate prefix '01' in {path}"),
+        ("test 1\n011 1\n", 2, "error: bad test file {path}: listed prefix '011' deeper than 1"),
+        ("test 1\n011 1\n0 x\n", 2, "error: bad rational literal 'x'"),
+        ("test 2\n- -1/3\n", 2, "error: bad test file {path}: negative test value at prefix ''"),
+        ("test\n", 2, "error: bad test header 'test' in {path}"),
+        ("test 2 3\n", 2, "error: bad test header 'test 2 3' in {path}"),
+        ("tset 2\n", 2, "error: test file {path} must start with `test <depth>`"),
+        ("test x\n", 2, "error: bad test depth in {path}"),
+        ("test 17\n", 2, "capability error: prefix tables are capped at depth 16, got 17"),
+        ("test 17\n- 1\n" + "0" * 18 + " 1\n", 2,
+         "error: bad test file {path}: listed prefix '" + "0" * 18 + "' deeper than 17"),
+        ("test -1\n", 2, "error: bad test file {path}: depth must be nonnegative"),
+        ("test -1\n- 1\n", 2, "error: bad test file {path}: listed prefix '' deeper than -1"),
+        ("test 2\n0 1 2\n", 2, "error: bad test line '0 1 2' in {path}"),
+        ("# only a comment\n", 2, "error: test file {path} must start with `test <depth>`"),
+    ],
+    ids=[
+        "bad-word", "bad-rational", "zero-denominator", "negative-denominator-at-root",
+        "negative-denominator-below-root", "duplicate-prefix", "deeper-than-header",
+        "first-bad-line-wins", "negative-value", "header-without-depth", "header-with-two-depths",
+        "not-a-test", "bad-depth", "test-17", "deeper-than-17", "negative-depth",
+        "listed-below-negative-depth", "three-tokens", "comment-only",
+    ],
+)
+def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code, message):
+    path = write(tmp_path, "t.test", content)
+    assert main(["min-extension", path, "-"]) == code
+    err = capsys.readouterr().err
+    assert err == (message.format(path=repr(path)) + "\n" if message else "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["upcrossings", "s.seq", "--", "1/3", "2/3"], "the following arguments are required: beta"),
+        (["upcrossings", "s.seq", "--", "1/3", "2/3", "--out", "r.tsv"], "unrecognized arguments: r.tsv"),
+        (["min-extension", "t.test", "-x"], "the following arguments are required: prefix"),
+        (["urn-check", "x"], "argument n: invalid int value: 'x'"),
+        (["--bogus"], "the following arguments are required: command"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["neutral", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: randlab") and err == ""

@@ -1,12 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_sperner_search
 from randlab.exact import is_inf
 from randlab.machines import PrefixMachine, canonical_machine
 from randlab.neutral import (
     PointMixture,
+    _grid_points,
+    _labeller,
     mixture_deficiency,
     sperner_search,
 )
@@ -172,3 +177,50 @@ def test_search_builds_the_machine_table_once(monkeypatch):
     sperner_search(seqs, first, 6, 16)
     sperner_search(seqs, second, 6, 12)
     assert builds == [first, second]
+
+
+@st.composite
+def neutral_instances(draw):
+    """1-4 distinct sequences, a depth that tells them apart, a resolution
+    up to 12, and a prefix machine whose outputs include "" and prefixes of
+    the sequences at every length, below the depth too."""
+    k = draw(st.integers(1, 4))
+    depth = draw(st.integers((k - 1).bit_length(), 6))
+    heads = draw(st.lists(st.text(alphabet="01", min_size=depth, max_size=depth),
+                          min_size=k, max_size=k, unique=True))
+    sequences = [h + draw(st.text(alphabet="01", max_size=3)) for h in heads]
+    outputs = sorted({s[:n] for s in sequences for n in range(len(s) + 1)})
+    programs = draw(st.sampled_from([
+        [""], ["0", "1"], ["0", "10", "11"], ["00", "01", "10", "110", "111"],
+        ["0", "100", "101", "1100", "1101", "111"], [f"{i:03b}" for i in range(8)],
+    ]))
+    machine = PrefixMachine({
+        p: draw(st.one_of(st.sampled_from(outputs), st.text(alphabet="01", max_size=4)))
+        for p in draw(st.lists(st.sampled_from(programs), unique=True))
+    })
+    return sequences, machine, depth, draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(neutral_instances())
+def test_search_matches_the_fraction_search(case):
+    sequences, machine, depth, m = case
+    assert sperner_search(sequences, machine, depth, m) == reference_sperner_search(sequences, machine, depth, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(neutral_instances())
+def test_label_is_the_least_supported_index_scoring_at_most_1(case):
+    sequences, machine, depth, m = case
+    k = len(sequences)
+    points = list(_grid_points(k, m))
+    assert points == sorted(
+        tuple(combo.count(i) for i in range(k))
+        for combo in itertools.combinations_with_replacement(range(k), m)
+    )
+    label_of = _labeller(sequences, machine, depth, m)
+    for point in points:
+        mix = PointMixture(tuple(F(c, m) for c in point))
+        values = {i: mixture_deficiency(mix, sequences, i, machine, depth) for i in mix.support()}
+        first = min(i for i, v in values.items() if not is_inf(v) and v <= 1)
+        assert label_of(point) == (first, values[first])

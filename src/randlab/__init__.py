@@ -45,7 +45,6 @@ from .randtests import (
     validate_extended_test,
 )
 from .bernoulli import (
-    CombinatorialTest,
     bernoulli_poly,
     certify_bernoulli_test,
     class_average,

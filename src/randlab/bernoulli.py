@@ -17,7 +17,7 @@ from .exact import fmt
 from .measures import (
     CapabilityError,
     _doubled,
-    _integer_levels,
+    _PrefixTable,
     _word,
     all_words,
     bernoulli_mass,
@@ -30,7 +30,6 @@ from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
 __all__ = [
     "MAX_URN_N",
-    "CombinatorialTest",
     "words_with_ones",
     "class_average",
     "validate_combinatorial_test",
@@ -42,10 +41,6 @@ __all__ = [
     "bernoulli_poly",
     "certify_bernoulli_test",
 ]
-
-
-class CombinatorialTest(ExtendedTest):
-    """An extended test whose class averages have been checked."""
 
 
 def words_with_ones(n: int, k: int) -> list[str]:
@@ -81,10 +76,12 @@ def _rows(f: Mapping[str, Fraction] | ExtendedTest, depth: int) -> _Rows | str:
     """f's levels up to `depth` as integer rows, or the first prefix it leaves undefined."""
     if isinstance(f, ExtendedTest):
         return "0" * (f.depth + 1) if depth > f.depth else (f.nums[: depth + 1], f.dens[: depth + 1])
-    missing = next((x for x in prefixes(depth) if x not in f), None)
-    if missing is not None:
-        return missing
-    return _integer_levels([[Fraction(f[x]) for x in all_words(n)] for n in range(depth + 1)])
+    table = _PrefixTable()
+    try:
+        table._fill(depth, f)
+    except KeyError as exc:
+        return exc.args[0]
+    return table.nums, table.dens
 
 
 def validate_combinatorial_test(
@@ -146,7 +143,7 @@ def extension_values(
 
 def extend_by_monotonicity(
     f: Mapping[str, Fraction] | ExtendedTest, n_target: int
-) -> CombinatorialTest:
+) -> ExtendedTest:
     """Extend a combinatorial test to longer words by value copying.
 
     The input must already be a valid combinatorial test on its own depth;
@@ -162,7 +159,7 @@ def extend_by_monotonicity(
         raise AssertionError(
             f"monotone extension broke validity: {extended.witness}"
         )
-    return CombinatorialTest._of_levels(nums, dens)
+    return ExtendedTest._of_levels(nums, dens)
 
 
 def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
@@ -249,23 +246,20 @@ def replacement_domination_check(n: int) -> UrnReport:
 
 
 def bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
-    """The level-n coin average sum_x T(x) p^ones(x) (1-p)^zeros(x), expanded."""
+    """The level-n coin average sum_x T(x) p^ones(x) (1-p)^zeros(x), expanded.
+
+    With S_k the row's sum over B(n, k), expanding (1-p)^(n-k) by the
+    binomial theorem gives p^j the coefficient
+    sum_{k <= j} S_k (-1)^(j-k) C(n-k, j-k), over the level's denominator.
+    """
     if n > test.depth:
         raise ValueError("level beyond test depth")
-    by_ones = [Fraction(total, test.dens[n]) for total in _class_sums(test.nums[n], n)]
-    # p^k (1-p)^(n-k) expanded via the binomial theorem
-    result = UnivariatePoly([])
-    p_power = constant(Fraction(1))
-    p_poly = UnivariatePoly([Fraction(0), Fraction(1)])
-    one_minus_p = UnivariatePoly([Fraction(1), Fraction(-1)])
-    for k in range(n + 1):
-        if by_ones[k] != 0:
-            q = p_power
-            for _ in range(n - k):
-                q = q * one_minus_p
-            result = result + q.scale(by_ones[k])
-        p_power = p_power * p_poly
-    return result
+    sums = _class_sums(test.nums[n], n)
+    coeffs = [
+        sum((-1) ** (j - k) * comb(n - k, j - k) * s for k, s in enumerate(sums[: j + 1]))
+        for j in range(n + 1)
+    ]
+    return UnivariatePoly([Fraction(c, test.dens[n]) for c in coeffs])
 
 
 def certify_bernoulli_test(test: ExtendedTest) -> Verdict:

@@ -41,8 +41,6 @@ from .machines import (
     MonotoneMachine,
     PrefixMachine,
     canonical_machine,
-    kp_of,
-    semimeasure_table,
     semimeasure_total,
 )
 from .measures import CapabilityError, MeasureError, _words, count_upcrossings, realize
@@ -247,10 +245,13 @@ def _machine_info(args):
         rows.append(("consistent", "-", "-", "pass"))
         return ("program", "output", "kp", "verdict"), rows, True
     total = semimeasure_total(machine)
-    table = semimeasure_table(machine)
+    mass = machine.output_mass()
+    shortest: dict[str, int] = {}  # `kp_of` of every output, in one pass
+    for program, output in machine.entries.items():
+        shortest[output] = min(len(program), shortest.get(output, len(program)))
     rows = [
-        (format_word(output), fmt(table[output]), fmt(kp_of(machine, output)), "output")
-        for output in sorted(table, key=lambda w: (len(w), w))
+        (format_word(output), fmt(mass[output]), fmt(shortest[output]), "output")
+        for output in sorted(mass, key=lambda w: (len(w), w))
     ]
     rows.append(("total", fmt(total), fmt(1), "pass" if total <= 1 else "fail"))
     return ("word", "mass", "kp", "verdict"), rows, True

@@ -7,8 +7,8 @@ inequalities are decided over the integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 
 class _Infinity:
@@ -91,6 +91,13 @@ def div_ratio(num: Fraction, den: Fraction) -> tuple[Ext, bool]:
     if num > 0:
         return INF, False
     return Fraction(0), True
+
+
+def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators, and that lcm."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import fmt_ratios, parse_rational
+from .exact import _common_denominator, fmt_ratios, parse_rational
 from .machines import MonotoneMachine, PrefixMachine
 from .measures import (
     Bernoulli,
@@ -65,6 +64,14 @@ def format_word(word: str) -> str:
     return word if word else "-"
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _meaningful_lines(text: str) -> list[str]:
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
@@ -85,12 +92,7 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
         raise ParseError(
             f"measure spec {path!r} is nested below more than {MAX_MIX_NESTING} mix files"
         )
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read measure spec {path!r}: {exc}") from exc
-    lines = _meaningful_lines(text)
+    lines = _meaningful_lines(_read(path, "measure spec"))
     if not lines:
         raise ParseError(f"empty measure spec {path!r}")
     head = lines[0].split()
@@ -128,12 +130,7 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
 
 def parse_sequence_file(path: str) -> str:
     """ASCII '0'/'1' characters; all whitespace is ignored."""
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read sequence {path!r}: {exc}") from exc
-    bits = "".join(text.split())
+    bits = "".join(_read(path, "sequence").split())
     try:
         return validate_bits(bits)
     except ValueError as exc:
@@ -142,12 +139,7 @@ def parse_sequence_file(path: str) -> str:
 
 def parse_machine_file(path: str) -> PrefixMachine | MonotoneMachine:
     """Lines `<program> <output>`; a leading `monotone` line switches kinds."""
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read machine {path!r}: {exc}") from exc
-    lines = _meaningful_lines(text)
+    lines = _meaningful_lines(_read(path, "machine"))
     monotone = bool(lines) and lines[0] == "monotone"
     if monotone:
         lines = lines[1:]
@@ -175,12 +167,7 @@ def parse_test_file(path: str) -> ExtendedTest:
     once and scaled once to the lcm of the denominators, and the integer
     numerators go straight into the table's level rows.
     """
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read test {path!r}: {exc}") from exc
-    lines = _meaningful_lines(text)
+    lines = _meaningful_lines(_read(path, "test"))
     if not lines or lines[0].split()[0] != "test":
         raise ParseError(f"test file {path!r} must start with `test <depth>`")
     head = lines[0].split()
@@ -190,11 +177,12 @@ def parse_test_file(path: str) -> ExtendedTest:
         depth = int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad test depth in {path!r}") from exc
-    # Lines with the same value token share one (num, den) in lowest terms,
-    # so no line keeps a token or a value of its own alive; once the lcm is
-    # known, each listed value is replaced in place by its numerator over it.
-    rationals: dict[str, tuple[int, int]] = {}
-    listed: dict[str, tuple[int, int] | int] = {}
+    # Lines with the same value token share the position of its one parsed
+    # value, so no line keeps a token or a value of its own alive; once the
+    # lcm is known, each position is replaced in place by its numerator.
+    positions: dict[str, int] = {}
+    values: list[Fraction] = []
+    listed: dict[str, int] = {}
     for line in lines[1:]:
         tokens = line.split()
         if len(tokens) != 2:
@@ -202,15 +190,14 @@ def parse_test_file(path: str) -> ExtendedTest:
         word, token = parse_word(tokens[0]), tokens[1]
         if word in listed:
             raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
-        value = rationals.get(token)
-        if value is None:
-            fraction = parse_rational(token)
-            value = rationals[token] = fraction.numerator, fraction.denominator
-        listed[word] = value
-    den = lcm(*(d for _, d in rationals.values()))
-    scaled = {value: value[0] * (den // value[1]) for value in rationals.values()}
-    for word, value in listed.items():
-        listed[word] = scaled[value]
+        position = positions.get(token)
+        if position is None:
+            position = positions[token] = len(values)
+            values.append(parse_rational(token))
+        listed[word] = position
+    nums, den = _common_denominator(values)
+    for word, position in listed.items():
+        listed[word] = nums[position]
     try:
         return ExtendedTest.from_numerators(depth, listed, den)
     except CapabilityError:

@@ -4,19 +4,19 @@ A finite word over {0,1} is a plain `str` of '0'/'1' characters; the empty
 word is `""`.  Words appear only where text is read or written.  Inside,
 every prefix table is stored a level at a time: level k is a list of the
 2^k words of length k in word order, so the word whose bits, read as a
-binary number, equal i sits at index i.  A :class:`DyadicMeasure` keeps
-integer numerators `nums[k][i]` over one denominator `dens[k]` per level,
-with mass("") = 1 and mass(x) = mass(x0) + mass(x1) at every interior
-prefix; `randtests.ExtendedTest` keeps its values the same way.  The
-kernels read these rows directly and decide every (in)equality by integer
-arithmetic.  Frequency statistics (sliding block averages and their
-upcrossing counts) live here too, since they are functions of words and
-masses only.
+binary number, equal i sits at index i.  Measures and tests share one
+table type: integer numerators `nums[k][i]` over one denominator `dens[k]`
+per level.  A :class:`DyadicMeasure` has mass("") = 1 and mass(x) =
+mass(x0) + mass(x1) at every interior prefix; `randtests.ExtendedTest` has
+nonnegative values.  The kernels read these rows directly and decide every
+(in)equality by integer arithmetic.  Frequency statistics (sliding block
+averages and their upcrossing counts) live here too, since they are
+functions of words and masses only.
 
-Every whole-tree walk of the package is one of two here: `fill_down`
+Every whole-tree walk of the package is one of three here: `fill_down`
 builds each level from the one above it, `fold_up` each level from the one
-below it.  `prefixes` and `all_words` list the words for the text
-boundary.  All four refuse a depth above `MAX_DEPTH` with a
+below it, and a table read from a word -> value mapping walks `prefixes`.
+All of them refuse a depth above `MAX_DEPTH` with a
 :class:`CapabilityError` before they build a single level.
 """
 from __future__ import annotations
@@ -26,7 +26,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+
+from .exact import _common_denominator
 
 __all__ = [
     "MAX_DEPTH",
@@ -110,16 +112,6 @@ def _rescaled(row: list[int], den: int, target: int) -> list[int]:
     return row if den == target else [v * (target // den) for v in row]
 
 
-def _integer_levels(levels: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Rational levels as integer numerators over each level's lcm denominator."""
-    nums, dens = [], []
-    for level in levels:
-        den = lcm(*(v.denominator for v in level))
-        nums.append([v.numerator * (den // v.denominator) for v in level])
-        dens.append(den)
-    return nums, dens
-
-
 def all_words(length: int) -> list[str]:
     """All binary words of the given length, in lexicographic order."""
     return _words(_capped(length))
@@ -152,42 +144,99 @@ def fold_up(leaves: list[V], combine: Callable[[V, V], V]) -> list[list[V]]:
     return levels
 
 
-class DyadicMeasure:
-    """Rational masses on all prefixes up to `depth`, Kolmogorov-consistent.
+def _unbalanced_parents(nums: list[list], dens: list[int], fails=operator.ne) -> Iterator[tuple]:
+    """(length, index, parent, children's sum, den) of every interior prefix
+    with fails(parent, sum), both numerators over den, level by level in word
+    order.  Additivity of a measure is the martingale identity with g = 1."""
+    for length in range(len(nums) - 1):
+        den = lcm(dens[length], dens[length + 1])
+        below = nums[length + 1]
+        parents = _rescaled(nums[length], dens[length], den)
+        sums = _rescaled(list(map(operator.add, below[0::2], below[1::2])), dens[length + 1], den)
+        for i in itertools.compress(range(len(parents)), map(fails, parents, sums)):
+            yield length, i, parents[i], sums[i], den
 
-    Level k is `nums[k]` over `dens[k]`, in word order.  Instances are
-    immutable after construction.  Construction from a prefix -> mass
-    mapping validates the three axioms (mass("") = 1, additivity, masses
-    in [0, 1]) and raises :class:`MeasureError` naming the first offending
-    prefix.
-    """
+
+class _PrefixTable:
+    """Rational values on every prefix up to `depth`: level k is `nums[k]`
+    over `dens[k]`, in word order.  Instances are immutable after
+    construction."""
 
     __slots__ = ("depth", "nums", "dens")
 
-    def __init__(self, depth: int, mass: Mapping[str, Fraction], validate: bool = True):
+    def _fill(self, depth: int, values: Mapping[str, Fraction]) -> None:
+        """Hold values[x] at every prefix x, each level over its lcm, reading
+        the prefixes in order and passing each value through `_refuse`."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
         for x in prefixes(depth):
-            if x not in mass:
-                raise MeasureError(f"missing mass for prefix {x!r}", x)
-            v = Fraction(mass[x])
-            if validate and not 0 <= v <= 1:
-                raise MeasureError(f"mass out of [0,1] at prefix {x!r}", x)
+            v = Fraction(values[x]) if x in values else None
+            self._refuse(x, v)
             levels[len(x)].append(v)
+        rows = list(map(_common_denominator, levels))
         self.depth = depth
-        self.nums, self.dens = _integer_levels(levels)
-        if validate:
-            err = self.check()
-            if err is not None:
-                raise MeasureError(*err)
+        self.nums, self.dens = [nums for nums, _ in rows], [den for _, den in rows]
+
+    @staticmethod
+    def _refuse(x: str, v: Optional[Fraction]) -> None:
+        """Raise for a value the table does not take at x (None where x is
+        unlisted).  A bare table takes every listed value."""
+        if v is None:
+            raise KeyError(x)
 
     @classmethod
-    def _of_levels(cls, nums: list[list[int]], dens: list[int]) -> "DyadicMeasure":
-        measure = object.__new__(cls)
-        measure.depth = len(nums) - 1
-        measure.nums, measure.dens = nums, dens
-        return measure
+    def _of_levels(cls, nums: list[list[int]], dens: list[int]):
+        table = object.__new__(cls)
+        table.depth = len(nums) - 1
+        table.nums, table.dens = nums, dens
+        return table
+
+    def _at(self, x: str) -> Fraction:
+        """The value at a binary word no deeper than the table."""
+        return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
+
+    def level(self, length: int) -> Iterator[tuple[str, Fraction]]:
+        """(word, value) pairs at one level, in lexicographic order."""
+        if not 0 <= length <= self.depth:
+            raise ValueError("level out of range")
+        den = self.dens[length]
+        for x, v in zip(_words(length), self.nums[length]):
+            yield x, Fraction(v, den)
+
+    def truncated(self, depth: int):
+        if depth > self.depth:
+            raise ValueError("cannot deepen a table by truncation")
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        return self._of_levels(self.nums[: depth + 1], self.dens[: depth + 1])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(depth={self.depth})"
+
+
+class DyadicMeasure(_PrefixTable):
+    """Rational masses on all prefixes up to `depth`, Kolmogorov-consistent.
+
+    Construction from a prefix -> mass mapping validates the three axioms
+    (mass("") = 1, additivity, masses in [0, 1]) and raises
+    :class:`MeasureError` naming the first offending prefix.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, depth: int, mass: Mapping[str, Fraction]):
+        self._fill(depth, mass)
+        err = self.check()
+        if err is not None:
+            raise MeasureError(*err)
+
+    @staticmethod
+    def _refuse(x: str, v: Optional[Fraction]) -> None:
+        if v is None:
+            raise MeasureError(f"missing mass for prefix {x!r}", x)
+        if not 0 <= v <= 1:
+            raise MeasureError(f"mass out of [0,1] at prefix {x!r}", x)
 
     def check(self) -> tuple[str, str] | None:
         """Return (message, prefix) for the first violated axiom, else None."""
@@ -204,15 +253,11 @@ class DyadicMeasure:
         return None
 
     def _additivity_error(self) -> tuple[str, str] | None:
-        for length in range(self.depth):
-            below = self.nums[length + 1]
-            den = lcm(self.dens[length], self.dens[length + 1])
-            sums = _rescaled(list(map(operator.add, below[0::2], below[1::2])), self.dens[length + 1], den)
-            bad = list(map(operator.ne, _rescaled(self.nums[length], self.dens[length], den), sums))
-            if True in bad:
-                x = _word(bad.index(True), length)
-                return (f"additivity fails at prefix {x!r}", x)
-        return None
+        bad = next(_unbalanced_parents(self.nums, self.dens), None)
+        if bad is None:
+            return None
+        x = _word(bad[1], bad[0])
+        return (f"additivity fails at prefix {x!r}", x)
 
     @classmethod
     def from_leaves(cls, depth: int, leaves: Mapping[str, Fraction]) -> "DyadicMeasure":
@@ -224,9 +269,9 @@ class DyadicMeasure:
             raise ValueError("depth must be nonnegative")
         row = [0] * (1 << _capped(depth))
         given = {x: Fraction(v) for x, v in leaves.items() if len(x) == depth and not x.strip("01")}
-        den = lcm(*(v.denominator for v in given.values()))
-        for x, v in given.items():
-            row[_index(x)] = v.numerator * (den // v.denominator)
+        scaled, den = _common_denominator(given.values())
+        for x, v in zip(given, scaled):
+            row[_index(x)] = v
         measure = cls._of_levels(fold_up(row, operator.add), [den] * (depth + 1))
         err = measure._bounds_error()
         if err is not None:
@@ -237,22 +282,7 @@ class DyadicMeasure:
         if len(x) > self.depth:
             raise ValueError(f"prefix {x!r} deeper than table depth {self.depth}")
         validate_bits(x)
-        return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
-
-    def level(self, length: int) -> Iterator[tuple[str, Fraction]]:
-        """(word, mass) pairs at one level, in lexicographic order."""
-        if not 0 <= length <= self.depth:
-            raise ValueError("level out of range")
-        den = self.dens[length]
-        for x, v in zip(_words(length), self.nums[length]):
-            yield x, Fraction(v, den)
-
-    def truncated(self, depth: int) -> "DyadicMeasure":
-        if depth > self.depth:
-            raise ValueError("cannot deepen a table by truncation")
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        return DyadicMeasure._of_levels(self.nums[: depth + 1], self.dens[: depth + 1])
+        return self._at(x)
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,9 +293,6 @@ class DyadicMeasure:
                 for a, da, b, db in zip(self.nums, self.dens, other.nums, other.dens)
             )
         )
-
-    def __repr__(self) -> str:
-        return f"DyadicMeasure(depth={self.depth})"
 
 
 @dataclass(frozen=True)

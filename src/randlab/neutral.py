@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
-from .exact import Ext, INF, div_ratio
+from .exact import Ext, INF, _common_denominator, div_ratio
 from .machines import PrefixMachine
 from .measures import CapabilityError, validate_bits
 
@@ -160,8 +160,8 @@ def _labeller(
             if w:
                 sharing = tuple(j for j, h in enumerate(heads) if h.startswith(x))
                 groups[sharing] = groups.get(sharing, 0) + w
-        den = lcm(*(a.denominator for a in groups.values()))
-        terms.append((den, [(s, a.numerator * (den // a.denominator)) for s, a in groups.items()]))
+        nums, den = _common_denominator(groups.values())
+        terms.append((den, list(zip(groups, nums))))
 
     def label_of(point: tuple[int, ...]) -> tuple[int, Fraction]:
         for i, (den, groups) in enumerate(terms):

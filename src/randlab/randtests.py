@@ -17,7 +17,9 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .exact import INF, Ext, div_ratio, fmt, is_inf, is_power_of_two, ceil_log2, floor_log2, mul_nonneg
+from .exact import (
+    INF, Ext, _common_denominator, ceil_log2, div_ratio, floor_log2, fmt, is_inf, is_power_of_two, mul_nonneg
+)
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
 from .measures import (
     MAX_DEPTH,
@@ -25,8 +27,9 @@ from .measures import (
     _capped,
     _doubled,
     _index,
-    _integer_levels,
+    _PrefixTable,
     _rescaled,
+    _unbalanced_parents,
     _word,
     _words,
     all_words,
@@ -57,29 +60,22 @@ __all__ = [
 ]
 
 
-class ExtendedTest:
-    """Nonnegative rational values on every prefix up to `depth`.
+class ExtendedTest(_PrefixTable):
+    """Nonnegative rational values on every prefix up to `depth`, in the
+    table format of :class:`DyadicMeasure`."""
 
-    Stored like a :class:`DyadicMeasure`: level k is `nums[k]` over
-    `dens[k]`, in word order.
-    """
-
-    __slots__ = ("depth", "nums", "dens", "_values")
+    __slots__ = ("_values",)
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
-        for x in prefixes(depth):
-            if x not in values:
-                raise ValueError(f"test value missing for prefix {x!r}")
-            v = Fraction(values[x])
-            if v < 0:
-                raise ValueError(f"negative test value at prefix {x!r}")
-            levels[len(x)].append(v)
-        self.depth = depth
-        self.nums, self.dens = _integer_levels(levels)
+        self._fill(depth, values)
         self._values: Optional[Mapping[str, Fraction]] = None
+
+    @staticmethod
+    def _refuse(x: str, v: Optional[Fraction]) -> None:
+        if v is None:
+            raise ValueError(f"test value missing for prefix {x!r}")
+        if v < 0:
+            raise ValueError(f"negative test value at prefix {x!r}")
 
     @classmethod
     def _of_levels(cls, nums: list[list[int]], dens: list[int]) -> "ExtendedTest":
@@ -87,24 +83,26 @@ class ExtendedTest:
             if min(row) < 0:
                 x = _word(next(i for i, v in enumerate(row) if v < 0), length)
                 raise ValueError(f"negative test value at prefix {x!r}")
-        test = object.__new__(cls)
-        test.depth = len(nums) - 1
-        test.nums, test.dens = nums, dens
+        test = super()._of_levels(nums, dens)
         test._values = None
         return test
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
         """Monotone closure: unlisted prefixes get the max over listed ancestors."""
-        return cls.from_numerators(depth, *_over_lcm(listed))
+        nums, den = _common_denominator(map(Fraction, listed.values()))
+        return cls.from_numerators(depth, dict(zip(listed, nums)), den)
 
     @classmethod
     def from_numerators(cls, depth: int, listed: Mapping[str, int], den: int) -> "ExtendedTest":
-        """`from_partial` of the values `listed[x] / den`."""
+        """`from_partial` of `listed[x] / den`, den > 0, checking words and depths before signs."""
         for x in listed:
             if len(x) > depth or x.strip("01"):
                 validate_bits(x)  # a word that is not binary is named as such first
                 raise ValueError(f"listed prefix {x!r} deeper than {depth}")
+        for x, v in listed.items():
+            if v < 0:
+                raise ValueError(f"negative test value at prefix {x!r}")
         return cls._of_levels(*_spread(depth, listed, den, max))
 
     @property
@@ -118,26 +116,15 @@ class ExtendedTest:
     def value(self, x: str) -> Fraction:
         if len(x) > self.depth or x.strip("01"):
             raise KeyError(x)
-        return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
+        return self._at(x)
 
     def leaves(self) -> list[tuple[str, Fraction]]:
-        den = self.dens[-1]
-        return [(x, Fraction(v, den)) for x, v in zip(_words(self.depth), self.nums[-1])]
+        return list(self.level(self.depth))
 
     def is_monotone(self) -> Optional[str]:
         """None when monotone under prefix extension, else the first bad child."""
         bad = next(_non_monotone_children(self.nums, self.dens), None)
         return None if bad is None else _word(bad[1], bad[0])
-
-    def __repr__(self) -> str:
-        return f"ExtendedTest(depth={self.depth})"
-
-
-def _over_lcm(values: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
-    """The values' numerators over the lcm of their denominators, and that lcm."""
-    given = {x: Fraction(v) for x, v in values.items()}
-    den = lcm(*(v.denominator for v in given.values()))
-    return {x: v.numerator * (den // v.denominator) for x, v in given.items()}, den
 
 
 def _spread(
@@ -247,7 +234,8 @@ def from_weights(
     )
     if budget > 1:
         raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
-    return ExtendedTest._of_levels(*_spread(depth, *_over_lcm(weights), operator.add))
+    nums, den = _common_denominator(map(Fraction, weights.values()))
+    return ExtendedTest._of_levels(*_spread(depth, dict(zip(weights, nums)), den, operator.add))
 
 
 def sum_test_values(
@@ -458,32 +446,25 @@ def martingale_check(
         level = scan if missing is None else len(missing) - 1
     if level > measure.depth:
         raise ValueError("g defined deeper than the measure table")
-    products = []
+    products, dens = [], []
     for length in range(level + 1):
         masses = measure.nums[length]
         if isinstance(g, ExtendedTest):
             product, den = list(map(operator.mul, masses, g.nums[length])), g.dens[length]
         else:
-            row, den = _extended_row([g[x] for x in all_words(length)])
+            values = [g[x] for x in all_words(length)]
+            finite, den = _common_denominator(Fraction(v) for v in values if not is_inf(v))
+            scaled = iter(finite)
+            row = [v if is_inf(v) else next(scaled) for v in values]  # `INF` kept
             product = [0 if p == 0 else p * v for p, v in zip(masses, row)]  # 0 * inf = 0
-        products.append((product, measure.dens[length] * den))
+        products.append(product)
+        dens.append(measure.dens[length] * den)
     fails = operator.ne if mode == "martingale" else operator.lt
-    failures = []
-    for length in range(level):
-        (above, da), (below, db) = products[length], products[length + 1]
-        den = lcm(da, db)
-        lhs = _rescaled(above, da, den)
-        rhs = _rescaled(list(map(operator.add, below[0::2], below[1::2])), db, den)
-        for i in compress(range(len(lhs)), map(fails, lhs, rhs)):
-            failures.append((_word(i, length), _ratio(lhs[i], den), _ratio(rhs[i], den)))
+    failures = [
+        (_word(i, length), _ratio(lhs, den), _ratio(rhs, den))
+        for length, i, lhs, rhs, den in _unbalanced_parents(products, dens, fails)
+    ]
     return MartingaleReport(ok=not failures, mode=mode, failures=failures)
-
-
-def _extended_row(values: list[Ext]) -> tuple[list, int]:
-    """A level of rationals and `INF` as integer numerators (`INF` kept) over one denominator."""
-    values = [v if is_inf(v) else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values if not is_inf(v)))
-    return [v if is_inf(v) else v.numerator * (den // v.denominator) for v in values], den
 
 
 def _ratio(num, den: int) -> Ext:
@@ -585,8 +566,8 @@ def prob_to_avg_convert(
         )
     td = test.dens[-1]
     damped = {v: convert_value(Fraction(v, td)) for v in set(test.nums[-1])}
-    den = lcm(*(f.denominator for f in damped.values()))
-    scaled = {v: f.numerator * (den // f.denominator) for v, f in damped.items()}
+    nums, den = _common_denominator(damped.values())
+    scaled = dict(zip(damped, nums))
     leaves = list(map(scaled.__getitem__, test.nums[-1]))
     converted = ExtendedTest._of_levels(fold_up(leaves, min), [den] * (test.depth + 1))
     average = Fraction(_dot(measure.nums[test.depth], leaves), measure.dens[test.depth] * den)

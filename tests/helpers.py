@@ -23,6 +23,7 @@ from randlab.measures import (
     prefixes,
 )
 from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
+from randlab.poly import UnivariatePoly, constant
 from randlab.randtests import convert_value, ExtendedTest, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -39,7 +40,7 @@ def random_dyadic_measure(rng: random.Random, depth: int) -> DyadicMeasure:
             theta = rng.choice(SPLIT_GRID)
             mass[x + "0"] = mass[x] * (1 - theta)
             mass[x + "1"] = mass[x] * theta
-    return DyadicMeasure(depth, mass, validate=False)
+    return DyadicMeasure(depth, mass)
 
 
 def random_prefix_machine(rng: random.Random, max_program_len: int = 5, max_output_len: int = 4) -> PrefixMachine:
@@ -230,6 +231,26 @@ def reference_convert(values, mass, depth: int) -> tuple[dict[str, Fraction], Fr
         for x in all_words(length):
             converted[x] = min(converted[x + "0"], converted[x + "1"])
     return converted, sum((mass[y] * leaves[y] for y in leaves), Fraction(0))
+
+
+def reference_bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
+    """sum_x T(x) p^ones(x) (1-p)^zeros(x) over the level-n words, as a sum
+    of the products p^k (1-p)^(n-k) scaled by the B(n, k) class sums."""
+    by_ones = [Fraction(0)] * (n + 1)
+    for x in all_words(n):
+        by_ones[x.count("1")] += test.values[x]
+    result = UnivariatePoly([])
+    p_power = constant(Fraction(1))
+    p_poly = UnivariatePoly([Fraction(0), Fraction(1)])
+    one_minus_p = UnivariatePoly([Fraction(1), Fraction(-1)])
+    for k in range(n + 1):
+        if by_ones[k] != 0:
+            q = p_power
+            for _ in range(n - k):
+                q = q * one_minus_p
+            result = result + q.scale(by_ones[k])
+        p_power = p_power * p_poly
+    return result
 
 
 def reference_hull(t: dict[str, Fraction]) -> dict[str, Fraction]:

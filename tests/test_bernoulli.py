@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers import reference_urn_check
+from helpers import random_listed, reference_bernoulli_poly, reference_urn_check
 from randlab.bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
@@ -164,6 +164,15 @@ def test_bernoulli_poly_examples():
     assert bernoulli_poly(up, 1).coeffs == (F(0), F(2))
     down = ExtendedTest(1, {"": F(0), "0": F(2), "1": F(0)})
     assert bernoulli_poly(down, 1).coeffs == (F(2), F(-2))
+
+
+def test_bernoulli_poly_matches_the_product_expansion():
+    rng = random.Random(11)
+    for _ in range(300):
+        depth = rng.randint(0, 7)
+        test = ExtendedTest.from_partial(depth, random_listed(rng, depth))
+        for n in range(depth + 1):
+            assert bernoulli_poly(test, n) == reference_bernoulli_poly(test, n)
 
 
 def test_certify_flat_and_counterexample():

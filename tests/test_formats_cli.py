@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_from_partial
+from helpers import random_prefix_machine, reference_from_partial
 import randlab.coupling
 from randlab.cli import main
 from randlab.formats import (
@@ -16,11 +17,11 @@ from randlab.formats import (
     parse_test_file,
     render_test_file,
 )
-from randlab.machines import MonotoneMachine, PrefixMachine
+from randlab.machines import MonotoneMachine, PrefixMachine, discrete_semimeasure, kp_of
 from randlab.bernoulli import MAX_URN_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
 from randlab.neutral import MAX_KUHN_CHAINS
-from randlab.exact import parse_rational
+from randlab.exact import fmt, parse_rational
 from randlab.randtests import ExtendedTest
 
 
@@ -244,6 +245,22 @@ def test_cli_machine_info_prefix_violation(tmp_path, capsys):
     assert "validation" in out
 
 
+def test_cli_machine_info_rows_match_the_per_word_reference(tmp_path, capsys):
+    rng = random.Random(4)
+    for trial in range(40):
+        machine = random_prefix_machine(rng, max_program_len=7, max_output_len=3)
+        lines = [f"{p or '-'} {o or '-'}" for p, o in machine.entries.items()]
+        path = write(tmp_path, f"m{trial}.machine", "\n".join(lines) + "\n")
+        assert run_cli("machine-info", path) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        outputs = sorted(set(machine.entries.values()), key=lambda w: (len(w), w))
+        assert rows[:-1] == [
+            [w or "-", fmt(discrete_semimeasure(machine, w)), fmt(kp_of(machine, w)), "output"]
+            for w in outputs
+        ]
+        assert rows[-1][0] == "total"
+
+
 def test_cli_separator_certify(tmp_path, capsys):
     assert run_cli("separator", "8", "1/2", "--certify") == 0
     out = capsys.readouterr().out
@@ -299,7 +316,9 @@ def test_cli_deterministic_output(tmp_path):
 # Test files against the parse that builds every value as a `Fraction`
 # first, and malformed test files with the lines each one has always
 # printed: checks run line by line in file order, so the first bad line
-# wins, and only then come the depth checks of the listed prefixes.
+# wins, and only then come the depth checks of the listed prefixes and then
+# their signs, each in file order.  A negative value is refused wherever it
+# is listed.
 
 token = st.one_of(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 24), st.integers(-3, 12).filter(bool)),
@@ -343,7 +362,9 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
         ("test 2\n01 1//2\n", 2, "error: bad rational literal '1//2'"),
         ("test 2\n01 1/0\n", 2, "error: bad rational literal '1/0'"),
         ("test 2\n- 1/-3\n", 2, "error: bad test file {path}: negative test value at prefix ''"),
-        ("test 2\n- 1/2\n0 1/-3\n", 0, ""),  # below a listed root, max(1/2, -1/3) is 1/2
+        ("test 2\n- 1/2\n0 1/-3\n", 2, "error: bad test file {path}: negative test value at prefix '0'"),
+        ("test 2\n0 -1/3\n", 2, "error: bad test file {path}: negative test value at prefix '0'"),
+        ("test 2\n1 1\n01 -1\n- -1\n", 2, "error: bad test file {path}: negative test value at prefix '01'"),
         ("test 2\n01 1\n01 2\n", 2, "error: duplicate prefix '01' in {path}"),
         ("test 1\n011 1\n", 2, "error: bad test file {path}: listed prefix '011' deeper than 1"),
         ("test 1\n011 1\n0 x\n", 2, "error: bad rational literal 'x'"),
@@ -362,7 +383,8 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
     ],
     ids=[
         "bad-word", "bad-rational", "zero-denominator", "negative-denominator-at-root",
-        "negative-denominator-below-root", "duplicate-prefix", "deeper-than-header",
+        "negative-denominator-below-root", "negative-value-below-unlisted-root",
+        "first-negative-line-wins", "duplicate-prefix", "deeper-than-header",
         "first-bad-line-wins", "negative-value", "header-without-depth", "header-with-two-depths",
         "not-a-test", "bad-depth", "test-17", "deeper-than-17", "negative-depth",
         "listed-below-negative-depth", "three-tokens", "comment-only",

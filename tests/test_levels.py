@@ -94,6 +94,19 @@ def test_from_partial_matches_the_dict_walk(seed, depth):
 
 
 @pytest.mark.parametrize("seed,depth", CASES)
+def test_measures_and_tests_read_a_mapping_into_the_same_table(seed, depth):
+    mass = masses(realize(random_spec(random.Random(seed * 31 + depth), depth), depth))
+    measure, test = DyadicMeasure(depth, mass), ExtendedTest(depth, mass)
+    assert (measure.nums, measure.dens) == (test.nums, test.dens)
+    for k in range(depth + 1):
+        assert list(test.level(k)) == list(measure.level(k)) == [(x, mass[x]) for x in all_words(k)]
+        shallow = {x: v for x, v in mass.items() if len(x) <= k}
+        assert dict(test.truncated(k).values) == dict(ExtendedTest(k, shallow).values)
+        assert measure.truncated(k) == DyadicMeasure(k, shallow)
+    assert (repr(measure), repr(test)) == (f"DyadicMeasure(depth={depth})", f"ExtendedTest(depth={depth})")
+
+
+@pytest.mark.parametrize("seed,depth", CASES)
 def test_test_kernels_match_the_dict_walks(seed, depth):
     rng = random.Random(seed * 43 + depth)
     measure = realize(random_spec(rng, depth), depth)

@@ -55,11 +55,9 @@ from .bernoulli import (
 )
 from .poly import UnivariatePoly
 from .coupling import (
-    CouplingWitness,
     enumerate_upper_sets,
     is_coupled_below,
     monotone_criterion_check,
-    monotonize,
     pushdown_measure,
     sparsity_value,
 )

@@ -17,12 +17,10 @@ from .exact import fmt
 from .measures import (
     CapabilityError,
     _doubled,
-    _PrefixTable,
     _word,
     all_words,
     bernoulli_mass,
     fill_down,
-    prefixes,
     validate_bits,
 )
 from .poly import UnivariatePoly, constant, nonneg_on_unit_interval
@@ -33,7 +31,6 @@ __all__ = [
     "words_with_ones",
     "class_average",
     "validate_combinatorial_test",
-    "extension_values",
     "extend_by_monotonicity",
     "hypergeom_prefix_prob",
     "UrnReport",
@@ -69,36 +66,13 @@ def _class_sums(row: list[int], n: int) -> list[int]:
     return sums
 
 
-_Rows = tuple[list[list[int]], list[int]]
-
-
-def _rows(f: Mapping[str, Fraction] | ExtendedTest, depth: int) -> _Rows | str:
-    """f's levels up to `depth` as integer rows, or the first prefix it leaves undefined."""
-    if isinstance(f, ExtendedTest):
-        return "0" * (f.depth + 1) if depth > f.depth else (f.nums[: depth + 1], f.dens[: depth + 1])
-    table = _PrefixTable()
-    try:
-        table._fill(depth, f)
-    except KeyError as exc:
-        return exc.args[0]
-    return table.nums, table.dens
-
-
-def validate_combinatorial_test(
-    f: Mapping[str, Fraction] | ExtendedTest, depth: int
-) -> Verdict:
-    """Check monotonicity and the B(n, k) average bound for every n <= depth.
+def validate_combinatorial_test(test: ExtendedTest) -> Verdict:
+    """Check monotonicity and the B(n, k) average bound at every level of the test.
 
     Every non-monotone child gets a row; the witness is a message naming
     the first violation.
     """
-    rows = _rows(f, depth)
-    if isinstance(rows, str):
-        return Verdict(False, [(rows, "-", "-", "missing")], f"value missing at {rows!r}")
-    return _combinatorial_verdict(*rows)
-
-
-def _combinatorial_verdict(nums: list[list[int]], dens: list[int]) -> Verdict:
+    nums, dens = test.nums, test.dens
     rows: list[tuple[str, str, str, str]] = []
     first: Optional[str] = None
     for n, i in _non_monotone_children(nums, dens):
@@ -119,47 +93,27 @@ def _combinatorial_verdict(nums: list[list[int]], dens: list[int]) -> Verdict:
     return Verdict(ok=first is None, rows=rows, witness=first)
 
 
-def _extended(rows: _Rows, n_target: int) -> _Rows:
-    """Levels down to n_target, each new child holding its parent's value."""
-    nums, dens = rows
-    depth = len(nums) - 1
-    if n_target < depth:
-        raise ValueError("target depth below the given depth")
-    extended = fill_down(n_target, nums[0][0], lambda above, n: nums[n] if n <= depth else _doubled(above))
-    return extended, dens + [dens[-1]] * (n_target - depth)
-
-
-def extension_values(
-    values: Mapping[str, Fraction], n_target: int
-) -> dict[str, Fraction]:
-    """Copy each deepest value onto both children, repeatedly, up to n_target."""
-    rows = _rows(values, max(len(x) for x in values))
-    if isinstance(rows, str):
-        raise ValueError(f"value missing at {rows!r}")
-    nums, dens = _extended(rows, n_target)
-    fractions = (Fraction(v, den) for row, den in zip(nums, dens) for v in row)
-    return dict(zip(prefixes(n_target), fractions))
-
-
-def extend_by_monotonicity(
-    f: Mapping[str, Fraction] | ExtendedTest, n_target: int
-) -> ExtendedTest:
-    """Extend a combinatorial test to longer words by value copying.
+def extend_by_monotonicity(test: ExtendedTest, n_target: int) -> ExtendedTest:
+    """Extend a combinatorial test to longer words by value copying: each
+    new child holds its parent's value.
 
     The input must already be a valid combinatorial test on its own depth;
     the output is validated again rather than trusted.
     """
-    depth = f.depth if isinstance(f, ExtendedTest) else max(len(x) for x in f)
-    base = validate_combinatorial_test(f, depth)
+    base = validate_combinatorial_test(test)
     if not base.ok:
         raise ValueError(f"input is not a combinatorial test: {base.witness}")
-    nums, dens = _extended(_rows(f, depth), n_target)
-    extended = _combinatorial_verdict(nums, dens)
-    if not extended.ok:
+    depth = test.depth
+    if n_target < depth:
+        raise ValueError("target depth below the given depth")
+    nums = fill_down(n_target, test.nums[0][0], lambda above, n: test.nums[n] if n <= depth else _doubled(above))
+    extended = ExtendedTest._of_levels(nums, test.dens + [test.dens[-1]] * (n_target - depth))
+    check = validate_combinatorial_test(extended)
+    if not check.ok:
         raise AssertionError(
-            f"monotone extension broke validity: {extended.witness}"
+            f"monotone extension broke validity: {check.witness}"
         )
-    return ExtendedTest._of_levels(nums, dens)
+    return extended
 
 
 def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:

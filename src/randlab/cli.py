@@ -78,14 +78,13 @@ def _validate_test(args):
 
 def _deficiency(args):
     sequence = parse_sequence_file(args.sequence)
-    prefix_machine, monotone_machine = None, None
-    for machine in map(parse_machine_file, args.machine or []):
-        if isinstance(machine, PrefixMachine):
-            prefix_machine = machine
-        else:
-            monotone_machine = machine
-    if prefix_machine is None:
-        prefix_machine = canonical_machine()
+    machines = list(map(parse_machine_file, args.machine or []))
+    prefix = [m for m in machines if isinstance(m, PrefixMachine)]
+    monotone = [m for m in machines if isinstance(m, MonotoneMachine)]
+    if len(prefix) > 1 or len(monotone) > 1:
+        raise ParseError("deficiency takes at most one prefix and one monotone machine")
+    prefix_machine = prefix[0] if prefix else canonical_machine()
+    monotone_machine = monotone[0] if monotone else None
     depth = args.depth if args.depth is not None else min(len(sequence), 6)
     if len(sequence) < depth:
         raise ParseError("sequence shorter than the requested depth")
@@ -137,7 +136,7 @@ def _convert(args):
 
 def _bernoulli_validate(args):
     test = parse_test_file(args.test)
-    verdict = bl.validate_combinatorial_test(test, test.depth)
+    verdict = bl.validate_combinatorial_test(test)
     return ("class", "average", "bound", "verdict"), verdict.rows, verdict.ok
 
 
@@ -164,7 +163,7 @@ def _lower_upper(args):
 def _coupling(args):
     result = cp.is_coupled_below(*_lower_upper(args), args.depth)
     if result.coupled:
-        rows = [(x, y, fmt(v)) for (x, y), v in sorted(result.witness.flow.items())]
+        rows = [(x, y, fmt(v)) for (x, y), v in sorted(result.witness.items())]
         return ("x", "y", "flow"), rows, True
     rows = [(y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.certificate]
     return UPPER_SET, rows, False
@@ -198,6 +197,8 @@ def _sparsity(args):
 def _separator(args):
     p = parse_rational(args.p)
     if args.certify:
+        if args.class_test:
+            raise ParseError("--class-test does not apply with --certify")
         try:
             n = int(args.target)
         except ValueError as exc:
@@ -222,6 +223,8 @@ def _upcrossings(args):
 
 
 def _neutral(args):
+    if len(args.machine or []) > 1:
+        raise ParseError("neutral takes at most one --machine")
     sequences = [parse_sequence_file(path) for path in args.sequences]
     if args.machine:
         machine = parse_machine_file(args.machine[0])

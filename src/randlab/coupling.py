@@ -2,14 +2,20 @@
 
 Whether one level-n mass vector can be coupled below another along the
 coordinatewise order is decided by an exact integer max flow on the
-hypercube's Hasse diagram; infeasibility is certified by the violating
-monotone upper set on the source side of the minimal min cut.
-The brute-force criterion over all monotone 0/1 functions gives the same
-answer (Strassen) and serves as a cross-check up to n = 4.
+hypercube's Hasse diagram; feasibility is witnessed by the transportation
+plan {(x, y): mass}, infeasibility by the violating monotone upper set on
+the source side of the minimal min cut.  The brute-force criterion over all
+monotone 0/1 functions gives the same answer (Strassen) and serves as a
+cross-check up to n = 4.
+
+A level-n function is a row indexed by the words read as binary numbers,
+so the words below x coordinatewise are the submasks of x's index: the
+monotone hull (`submask_hull`) and the pushdown's smallest maximizers are
+one pass over the row each.
 """
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +29,7 @@ from .measures import (
     _index,
     _rescaled,
     all_words,
-    bernoulli_mass,
+    fold_up,
     realize,
     validate_bits,
 )
@@ -33,14 +39,12 @@ V = TypeVar("V")
 
 __all__ = [
     "CapabilityError",
-    "CouplingWitness",
     "CouplingResult",
     "leq_words",
     "is_coupled_below",
     "enumerate_upper_sets",
     "CriterionResult",
     "monotone_criterion_check",
-    "monotonize",
     "submask_hull",
     "PushdownReport",
     "pushdown_measure",
@@ -56,28 +60,9 @@ def leq_words(x: str, y: str) -> bool:
 
 
 @dataclass
-class CouplingWitness:
-    """A transportation plan on pairs x <= y with prescribed marginals."""
-
-    flow: dict[tuple[str, str], Fraction]
-
-    def row_sums(self) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (x, _), v in self.flow.items():
-            out[x] = out.get(x, Fraction(0)) + v
-        return out
-
-    def col_sums(self) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (_, y), v in self.flow.items():
-            out[y] = out.get(y, Fraction(0)) + v
-        return out
-
-
-@dataclass
 class CouplingResult:
     coupled: bool
-    witness: Optional[CouplingWitness]
+    witness: Optional[dict[tuple[str, str], Fraction]]  # transportation plan {(x, y): mass}, x <= y
     certificate: Optional[list[str]]  # violating upper set, sorted
     p_mass: Optional[Fraction] = None
     q_mass: Optional[Fraction] = None
@@ -211,7 +196,7 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CouplingResu
     total, plan, reachable = _hasse_flow(n, supply, demand)
     if total == sum(supply):
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
-        return CouplingResult(coupled=True, witness=CouplingWitness(flow), certificate=None)
+        return CouplingResult(coupled=True, witness=flow, certificate=None)
     upper = [x for x, inside in enumerate(reachable) if inside]
     p_u = Fraction(sum(supply[x] for x in upper), scale)
     q_u = Fraction(sum(demand[x] for x in upper), scale)
@@ -280,17 +265,6 @@ def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Crit
     return CriterionResult(ok=True, failing_upper_set=None)
 
 
-def monotonize(t: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """Pointwise max over coordinatewise-smaller words: the monotone hull."""
-    words = sorted(t)
-    if not words:
-        return {}
-    n = len(words[0])
-    if len(words) != 2 ** n or any(len(w) != n for w in words):
-        raise ValueError("need a total function on one level")
-    return dict(zip(words, submask_hull([Fraction(t[x]) for x in words])))
-
-
 def submask_hull(row: list[V]) -> list[V]:
     """Monotone hull of a level row: entry i becomes the max over the entries
     whose index is a submask of i, i.e. over the coordinatewise-smaller words."""
@@ -320,22 +294,21 @@ def pushdown_measure(
     couples below the coin measure and integrates t to the same value the
     coin measure gives the monotone hull of t.  Both claims are re-verified.
     """
-    p = Fraction(p)
-    hull = monotonize(t)
-    q_leaves: dict[str, Fraction] = {x: Fraction(0) for x in all_words(n)}
-    for x in all_words(n):
-        candidates = _down_set(x)
-        best = candidates[0]
-        for c in candidates[1:]:
-            if Fraction(t[c]) > Fraction(t[best]):
-                best = c
-        q_leaves[best] += bernoulli_mass(p, x)
-    q_star = DyadicMeasure.from_leaves(n, q_leaves)
-    lhs = sum((q_leaves[x] * Fraction(t[x]) for x in all_words(n)), Fraction(0))
-    rhs = sum(
-        (bernoulli_mass(p, x) * hull[x] for x in all_words(n)), Fraction(0)
-    )
+    words = all_words(n)
+    if len(t) != len(words) or any(x not in t for x in words):
+        raise ValueError(f"need a total function on level {n}")
+    row = [Fraction(t[x]) for x in words]
+    # Over the words y <= x, the largest (t(y), -y) is t's maximum below x
+    # at the first maximizer in word order: its value is the hull at x.
+    best = submask_hull([(v, -y) for y, v in enumerate(row)])
     coin = realize(Bernoulli(p), n)
+    leaves, den = coin.nums[n], coin.dens[n]
+    moved = [0] * len(row)
+    for mass, (_, y) in zip(leaves, best):
+        moved[-y] += mass
+    q_star = DyadicMeasure._of_levels(fold_up(moved, operator.add), [den] * (n + 1))
+    lhs = sum(map(operator.mul, moved, row), Fraction(0)) / den
+    rhs = sum((mass * hull for mass, (hull, _) in zip(leaves, best)), Fraction(0)) / den
     coupled = is_coupled_below(q_star, coin, n).coupled
     report = PushdownReport(
         coupled_ok=coupled, equality_ok=lhs == rhs, lhs=lhs, rhs=rhs
@@ -343,18 +316,6 @@ def pushdown_measure(
     if not (report.coupled_ok and report.equality_ok):
         raise AssertionError("pushdown proof obligations failed")
     return q_star, report
-
-
-def _down_set(x: str) -> list[str]:
-    """All words <= x coordinatewise, in lexicographic order."""
-    positions = [i for i, bit in enumerate(x) if bit == "1"]
-    out = []
-    for choice in itertools.product("01", repeat=len(positions)):
-        word = list(x)
-        for pos, bit in zip(positions, choice):
-            word[pos] = bit
-        out.append("".join(word))
-    return sorted(out)
 
 
 def sparsity_value(test: ExtendedTest, x: str) -> Fraction:

@@ -8,10 +8,11 @@ binary number, equal i sits at index i.  Measures and tests share one
 table type: integer numerators `nums[k][i]` over one denominator `dens[k]`
 per level.  A :class:`DyadicMeasure` has mass("") = 1 and mass(x) =
 mass(x0) + mass(x1) at every interior prefix; `randtests.ExtendedTest` has
-nonnegative values.  The kernels read these rows directly and decide every
-(in)equality by integer arithmetic.  Frequency statistics (sliding block
-averages and their upcrossing counts) live here too, since they are
-functions of words and masses only.
+nonnegative values.  A word -> value mapping becomes a table once, in its
+constructor; past that, the kernels take and return these level rows only,
+read them directly and decide every (in)equality by integer arithmetic.
+Frequency statistics (sliding block averages and their upcrossing counts)
+live here too, since they are functions of words and masses only.
 
 Every whole-tree walk of the package is one of three here: `fill_down`
 builds each level from the one above it, `fold_up` each level from the one
@@ -166,7 +167,9 @@ class _PrefixTable:
 
     def _fill(self, depth: int, values: Mapping[str, Fraction]) -> None:
         """Hold values[x] at every prefix x, each level over its lcm, reading
-        the prefixes in order and passing each value through `_refuse`."""
+        the prefixes in order and passing each value (None where x is
+        unlisted) through the subclass's `_refuse`, which raises for a value
+        the table does not take."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
@@ -177,13 +180,6 @@ class _PrefixTable:
         rows = list(map(_common_denominator, levels))
         self.depth = depth
         self.nums, self.dens = [nums for nums, _ in rows], [den for _, den in rows]
-
-    @staticmethod
-    def _refuse(x: str, v: Optional[Fraction]) -> None:
-        """Raise for a value the table does not take at x (None where x is
-        unlisted).  A bare table takes every listed value."""
-        if v is None:
-            raise KeyError(x)
 
     @classmethod
     def _of_levels(cls, nums: list[list[int]], dens: list[int]):

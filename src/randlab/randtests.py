@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exact import (
@@ -64,11 +63,10 @@ class ExtendedTest(_PrefixTable):
     """Nonnegative rational values on every prefix up to `depth`, in the
     table format of :class:`DyadicMeasure`."""
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
         self._fill(depth, values)
-        self._values: Optional[Mapping[str, Fraction]] = None
 
     @staticmethod
     def _refuse(x: str, v: Optional[Fraction]) -> None:
@@ -83,9 +81,7 @@ class ExtendedTest(_PrefixTable):
             if min(row) < 0:
                 x = _word(next(i for i, v in enumerate(row) if v < 0), length)
                 raise ValueError(f"negative test value at prefix {x!r}")
-        test = super()._of_levels(nums, dens)
-        test._values = None
-        return test
+        return super()._of_levels(nums, dens)
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
@@ -105,21 +101,10 @@ class ExtendedTest(_PrefixTable):
                 raise ValueError(f"negative test value at prefix {x!r}")
         return cls._of_levels(*_spread(depth, listed, den, max))
 
-    @property
-    def values(self) -> Mapping[str, Fraction]:
-        """Every prefix's value, read-only, built on first access."""
-        if self._values is None:
-            fractions = (Fraction(v, den) for row, den in zip(self.nums, self.dens) for v in row)
-            self._values = MappingProxyType(dict(zip(prefixes(self.depth), fractions)))
-        return self._values
-
     def value(self, x: str) -> Fraction:
         if len(x) > self.depth or x.strip("01"):
             raise KeyError(x)
         return self._at(x)
-
-    def leaves(self) -> list[tuple[str, Fraction]]:
-        return list(self.level(self.depth))
 
     def is_monotone(self) -> Optional[str]:
         """None when monotone under prefix extension, else the first bad child."""

@@ -14,13 +14,15 @@ from math import comb
 from typing import Optional
 
 from .exact import fmt
-from .measures import validate_bits
+from .measures import CapabilityError, validate_bits
 from .randtests import ExtendedTest
 
 __all__ = [
     "deviation_exceeds",
     "TailReport",
     "chebyshev_tail_check",
+    "MAX_TAIL_N",
+    "MAX_TAIL_DIGITS",
     "KRecord",
     "SeparatorReport",
     "separator_value",
@@ -62,6 +64,15 @@ class TailReport:
         ]
 
 
+#: Largest tail-check block length: n = 2000 takes up to about 2 s on a
+#: 2-core x86-64 machine with Python 3.11.
+MAX_TAIL_N = 2048
+#: Cap on n times the decimal digits of p's denominator b.  The tail mass
+#: has a denominator dividing b^n, so this keeps it below Python's
+#: 4300-digit limit on printing an integer.
+MAX_TAIL_DIGITS = 4000
+
+
 def chebyshev_tail_check(n: int, p: Fraction) -> TailReport:
     """Exact coin mass of {length-n words whose one-count deviates by more
     than n^0.6} and the certificate mu^5 < 1/n (i.e. mu < n^-0.2)."""
@@ -70,6 +81,13 @@ def chebyshev_tail_check(n: int, p: Fraction) -> TailReport:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0,1]")
+    if n > MAX_TAIL_N:
+        raise CapabilityError(f"tail check capped at n = {MAX_TAIL_N}, got {n}")
+    digits = len(str(p.denominator))
+    if n * digits > MAX_TAIL_DIGITS:
+        raise CapabilityError(
+            f"tail check capped at n * digits(denominator of p) = {MAX_TAIL_DIGITS}, got {n} * {digits}"
+        )
     deviating = [c for c in range(n + 1) if deviation_exceeds(c, n, p)]
     mu = sum(
         (comb(n, c) * p ** c * (1 - p) ** (n - c) for c in deviating), Fraction(0)

@@ -148,6 +148,11 @@ def reference_urn_check(n: int) -> UrnReport:
 # stored tables as integer rows.
 
 
+def by_word(table) -> dict[str, Fraction]:
+    """Every prefix's value of a measure or test table, read level by level."""
+    return {x: v for length in range(table.depth + 1) for x, v in table.level(length)}
+
+
 def reference_realize(spec, depth: int) -> dict[str, Fraction]:
     """Every prefix's mass, by products down the tree and weighted sums."""
     if isinstance(spec, Bernoulli):
@@ -238,7 +243,7 @@ def reference_bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
     of the products p^k (1-p)^(n-k) scaled by the B(n, k) class sums."""
     by_ones = [Fraction(0)] * (n + 1)
     for x in all_words(n):
-        by_ones[x.count("1")] += test.values[x]
+        by_ones[x.count("1")] += test.value(x)
     result = UnivariatePoly([])
     p_power = constant(Fraction(1))
     p_poly = UnivariatePoly([Fraction(0), Fraction(1)])
@@ -259,6 +264,20 @@ def reference_hull(t: dict[str, Fraction]) -> dict[str, Fraction]:
         x: max(v for y, v in t.items() if all(a <= b for a, b in zip(y, x)))
         for x in t
     }
+
+
+def reference_pushdown(t: dict[str, Fraction], p: Fraction, n: int) -> dict[str, Fraction]:
+    """Leaf masses of the pushdown: each coin leaf x moves to the first word
+    in word order that maximizes t over the words <= x coordinatewise."""
+    leaves = dict.fromkeys(all_words(n), Fraction(0))
+    for x in all_words(n):
+        below = [y for y in all_words(n) if all(a <= b for a, b in zip(y, x))]
+        best = below[0]
+        for y in below[1:]:
+            if t[y] > t[best]:
+                best = y
+        leaves[best] += bernoulli_mass(p, x)
+    return leaves
 
 
 def reference_sparsity(values, depth: int, x: str) -> Fraction:

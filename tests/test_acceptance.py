@@ -164,11 +164,12 @@ def test_criterion_06_combinatorial_bernoulli():
         for x in all_words(1):
             values[x] = min(values[x + "0"], values[x + "1"])
         values[""] = min(values["0"], values["1"])
-        if not validate_combinatorial_test(values, 2).ok:
+        seed = ExtendedTest(2, values)
+        if not validate_combinatorial_test(seed).ok:
             continue
         valid += 1
-        extended = extend_by_monotonicity(values, 5)
-        assert validate_combinatorial_test(extended, 5).ok
+        extended = extend_by_monotonicity(seed, 5)
+        assert validate_combinatorial_test(extended).ok
         assert certify_bernoulli_test(extended).ok
     assert valid == 99  # seeds surviving the class-average constraints
     twop = ExtendedTest.from_partial(1, {"1": F(2)})

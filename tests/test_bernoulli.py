@@ -5,13 +5,12 @@ from math import comb
 
 import pytest
 
-from helpers import random_listed, reference_bernoulli_poly, reference_urn_check
+from helpers import by_word, random_listed, reference_bernoulli_poly, reference_urn_check
 from randlab.bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
     class_average,
     extend_by_monotonicity,
-    extension_values,
     hypergeom_prefix_prob,
     replacement_domination_check,
     validate_combinatorial_test,
@@ -49,36 +48,37 @@ def test_class_average_domain_error():
 
 def test_validate_constant_one():
     values = {x: F(1) for n in range(3) for x in all_words(n)}
-    assert validate_combinatorial_test(values, 2).ok
+    assert validate_combinatorial_test(ExtendedTest(2, values)).ok
 
 
 def test_validate_rejects_level_one_overload():
     values = {"": F(0), "0": F(2), "1": F(2)}
-    report = validate_combinatorial_test(values, 1)
+    report = validate_combinatorial_test(ExtendedTest(1, values))
     assert not report.ok
     assert "B(1,0)" in report.witness or "monotonicity" in report.witness
 
 
 def test_extend_flat():
     values = {"": F(1), "0": F(1), "1": F(1)}
-    extended = extend_by_monotonicity(values, 3)
-    assert all(v == 1 for v in extended.values.values())
+    extended = extend_by_monotonicity(ExtendedTest(1, values), 3)
+    assert all(v == 1 for v in by_word(extended).values())
 
 
 def test_extension_replays_split_argument():
-    # the seed itself overloads B(1,0), so only the raw extension map is
-    # exercised here: the split keeps the B(2,1) average at exactly 1
-    values = {"": F(0), "0": F(2), "1": F(0)}
-    extended = extension_values(values, 2)
-    assert [extended[x] for x in all_words(2)] == [F(2), F(2), F(0), F(0)]
-    assert class_average(extended, 2, 1) == 1
+    # B(2,1) splits into B(1,1)0 and B(1,0)1, so the copied level averages
+    # the two parent classes with equal weights
+    seed = ExtendedTest(1, {"": F(0), "0": F(1), "1": F(0)})
+    extended = by_word(extend_by_monotonicity(seed, 2))
+    assert [extended[x] for x in all_words(2)] == [F(1), F(1), F(0), F(0)]
+    split = (class_average(extended, 1, 1) + class_average(extended, 1, 0)) / 2
+    assert class_average(extended, 2, 1) == split == F(1, 2)
 
 
 def test_extend_full_operation_on_valid_seed():
     values = {"": F(0), "0": F(1), "1": F(0)}
-    extended = extend_by_monotonicity(values, 3)
-    assert validate_combinatorial_test(extended, 3).ok
-    assert extended.values["011"] == F(1) and extended.values["100"] == F(0)
+    extended = extend_by_monotonicity(ExtendedTest(1, values), 3)
+    assert validate_combinatorial_test(extended).ok
+    assert extended.value("011") == F(1) and extended.value("100") == F(0)
 
 
 def test_extend_indicator_brute_force():
@@ -87,15 +87,15 @@ def test_extend_indicator_brute_force():
     for length in (2, 1, 0):
         for x in all_words(length):
             values[x] = min(values[x + "0"], values[x + "1"])
-    extended = extend_by_monotonicity(values, 4)
+    extended = by_word(extend_by_monotonicity(ExtendedTest(3, values), 4))
     for k in range(5):
-        assert class_average(extended.values, 4, k) <= 1
+        assert class_average(extended, 4, k) <= 1
 
 
 def test_extend_rejects_invalid_input():
     values = {"": F(2), "0": F(2), "1": F(2)}
     with pytest.raises(ValueError):
-        extend_by_monotonicity(values, 3)
+        extend_by_monotonicity(ExtendedTest(1, values), 3)
 
 
 def test_hypergeom_examples():
@@ -148,7 +148,7 @@ def test_class_average_rows_match_class_average_on_random_tables():
     for _ in range(200):
         depth = rng.randrange(5)
         values = {x: F(rng.randrange(4), rng.choice((1, 2, 3))) for x in prefixes(depth)}
-        rows = [row for row in validate_combinatorial_test(values, depth).rows if row[0].startswith("B(")]
+        rows = [row for row in validate_combinatorial_test(ExtendedTest(depth, values)).rows if row[0].startswith("B(")]
         expected = []
         for n in range(depth + 1):
             for k in range(n + 1):
@@ -191,10 +191,10 @@ def test_every_valid_seed_certifies():
     confirmed = 0
     for leaf_values in itertools.product(SEED_GRID, repeat=4):
         leaves = dict(zip(all_words(2), leaf_values))
-        values = seed_test_from_leaves(leaves)
-        if not validate_combinatorial_test(values, 2).ok:
+        test = ExtendedTest(2, seed_test_from_leaves(leaves))
+        if not validate_combinatorial_test(test).ok:
             continue
-        extended = extend_by_monotonicity(values, 4)
+        extended = extend_by_monotonicity(test, 4)
         assert certify_bernoulli_test(extended).ok
         confirmed += 1
     assert confirmed > 10
@@ -204,14 +204,13 @@ def test_combinatorial_average_bound_transfers_to_coins():
     rng = random.Random(5)
     for _ in range(10):
         leaf_values = [rng.choice(SEED_GRID) for _ in range(4)]
-        values = seed_test_from_leaves(dict(zip(all_words(2), leaf_values)))
-        if not validate_combinatorial_test(values, 2).ok:
+        test = ExtendedTest(2, seed_test_from_leaves(dict(zip(all_words(2), leaf_values))))
+        if not validate_combinatorial_test(test).ok:
             continue
-        test = ExtendedTest(2, values)
         for p in (F(0), F(1, 7), F(1, 2), F(9, 10), F(1)):
             for n in range(3):
                 integral = sum(
-                    (bernoulli_mass(p, x) * test.values[x] for x in all_words(n)),
+                    (bernoulli_mass(p, x) * test.value(x) for x in all_words(n)),
                     F(0),
                 )
                 assert integral <= 1

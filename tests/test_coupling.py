@@ -4,16 +4,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_dyadic_measure
+from helpers import random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
     CapabilityError,
     enumerate_upper_sets,
     is_coupled_below,
     leq_words,
     monotone_criterion_check,
-    monotonize,
     pushdown_measure,
     sparsity_value,
+    submask_hull,
 )
 from randlab.measures import Bernoulli, all_words, point_mass, realize
 from randlab.randtests import from_weights
@@ -39,12 +39,11 @@ def test_bernoulli_family_is_stochastically_monotone():
     b12 = realize(Bernoulli(F(1, 2)), 3)
     result = is_coupled_below(b13, b12, 3)
     assert result.coupled
-    rows = result.witness.row_sums()
-    cols = result.witness.col_sums()
+    plan = result.witness
     for x in all_words(3):
-        assert rows.get(x, F(0)) == b13.mass(x)
-        assert cols.get(x, F(0)) == b12.mass(x)
-    for (x, y) in result.witness.flow:
+        assert sum((v for (a, _), v in plan.items() if a == x), F(0)) == b13.mass(x)
+        assert sum((v for (_, b), v in plan.items() if b == x), F(0)) == b12.mass(x)
+    for (x, y) in plan:
         assert leq_words(x, y)
 
 
@@ -86,25 +85,25 @@ def test_flow_and_criterion_agree():
 
 
 def test_monotonize_examples():
-    assert monotonize({"0": F(2), "1": F(0)}) == {"0": F(2), "1": F(2)}
-    already = {"00": F(0), "01": F(1), "10": F(1), "11": F(2)}
-    assert monotonize(already) == already
-    hull = monotonize({"00": F(0), "01": F(1), "10": F(0), "11": F(0)})
-    assert hull == {"00": F(0), "01": F(1), "10": F(0), "11": F(1)}
+    # rows list the words in word order: 0, 1 and 00, 01, 10, 11
+    assert submask_hull([F(2), F(0)]) == [F(2), F(2)]
+    already = [F(0), F(1), F(1), F(2)]
+    assert submask_hull(already) == already
+    assert submask_hull([F(0), F(1), F(0), F(0)]) == [F(0), F(1), F(0), F(1)]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=8, max_size=8))
 @settings(max_examples=60)
 def test_monotonize_idempotent_and_dominating(raw):
-    t = {x: F(v) for x, v in zip(all_words(3), raw)}
-    hull = monotonize(t)
-    assert monotonize(hull) == hull
-    for x in all_words(3):
-        assert hull[x] >= t[x]
-    for x in all_words(3):
-        for y in all_words(3):
+    t = [F(v) for v in raw]
+    hull = submask_hull(t)
+    assert submask_hull(hull) == hull
+    words = all_words(3)
+    for i, x in enumerate(words):
+        assert hull[i] >= t[i]
+        for j, y in enumerate(words):
             if leq_words(x, y):
-                assert hull[x] <= hull[y]
+                assert hull[i] <= hull[j]
 
 
 def test_pushdown_monotone_input_is_identity():
@@ -138,11 +137,30 @@ def test_pushdown_random_instances():
         assert report.coupled_ok and report.equality_ok
 
 
+@pytest.mark.parametrize("t", [{"0": F(1), "1": F(0)}, {"00": F(1), "01": F(0), "10": F(0)}])
+def test_pushdown_refuses_a_function_that_is_not_total_on_its_level(t):
+    with pytest.raises(ValueError, match="need a total function on level 2"):
+        pushdown_measure(t, F(1, 2), 2)
+
+
+def test_pushdown_moves_each_leaf_to_its_first_maximizer():
+    # few values, so most down-sets hold several maximizers and the
+    # tie-break decides where the mass lands
+    rng = random.Random(53)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        t = {x: F(rng.randrange(3)) for x in all_words(n)}
+        p = F(rng.randrange(0, 8), 7)
+        q_star, _ = pushdown_measure(t, p, n)
+        expected = reference_pushdown(t, p, n)
+        assert [q_star.mass(x) for x in all_words(n)] == [expected[x] for x in all_words(n)]
+
+
 def test_sparsity_examples():
     uni = realize(Bernoulli(F(1, 2)), 2)
     T = from_weights({"1": F(2)}, uni, 2)
     assert sparsity_value(T, "11") == T.value("11")
-    assert sparsity_value(T, "00") == min(v for _, v in T.leaves())
+    assert sparsity_value(T, "00") == min(v for _, v in T.level(2))
     assert sparsity_value(T, "0") == 0
     assert sparsity_value(T, "1") == 2
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_prefix_machine, reference_from_partial
+from helpers import by_word, random_prefix_machine, reference_from_partial
 import randlab.coupling
 from randlab.cli import main
 from randlab.formats import (
@@ -21,6 +21,7 @@ from randlab.machines import MonotoneMachine, PrefixMachine, discrete_semimeasur
 from randlab.bernoulli import MAX_URN_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
 from randlab.neutral import MAX_KUHN_CHAINS
+from randlab.separator import MAX_TAIL_DIGITS, MAX_TAIL_N
 from randlab.exact import fmt, parse_rational
 from randlab.randtests import ExtendedTest
 
@@ -134,7 +135,7 @@ def test_test_file_round_trip(tmp_path):
     test = parse_test_file(path)
     rendered = render_test_file(test)
     path2 = write(tmp_path, "t2.test", rendered)
-    assert parse_test_file(path2).values == test.values
+    assert by_word(parse_test_file(path2)) == by_word(test)
 
 
 def run_cli(*argv):
@@ -206,7 +207,7 @@ def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     assert randlab.coupling.CapabilityError is CapabilityError
 
 
-@pytest.mark.parametrize("case", ["urn-n", "neutral-grid"])
+@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits"])
 def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
     # one past each cap: four sequences try C(52, 3) * 3! Kuhn chains at
     # resolution 49, against C(51, 3) * 3! at 48, which the cap admits
@@ -215,7 +216,12 @@ def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
     argv = {
         "urn-n": ["urn-check", str(MAX_URN_N + 1)],
         "neutral-grid": ["neutral", *seqs, "--depth", "2", "--resolution", "49"],
+        # one past the length cap, and 720 * 7 digits past the digit cap:
+        # uncapped, both end in an integer too long to print
+        "tail-n": ["separator", str(MAX_TAIL_N + 1), "1/3", "--certify"],
+        "tail-digits": ["separator", "720", "1/1000003", "--certify"],
     }[case]
+    assert 720 * 7 > MAX_TAIL_DIGITS
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("capability error: ") and captured.err.count("\n") == 1
@@ -352,7 +358,7 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
         return
     test = parse_test_file(path)
     assert (test.depth, test.nums, test.dens) == (expected.depth, expected.nums, expected.dens)
-    assert dict(test.values) == reference_from_partial(depth, values)
+    assert by_word(test) == reference_from_partial(depth, values)
 
 
 @pytest.mark.parametrize(
@@ -406,9 +412,23 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["urn-check", "x"], "argument n: invalid int value: 'x'"),
         (["--bogus"], "the following arguments are required: command"),
         ([], "the following arguments are required: command"),
+        (["separator", "8", "1/2", "--certify", "--class-test", "t.test"],
+         "--class-test does not apply with --certify"),
+        (["neutral", "s.seq", "--machine", "p.machine", "--machine", "p.machine"],
+         "neutral takes at most one --machine"),
+        (["deficiency", "s.seq", "--measure", "u.measure", "--machine", "p.machine", "--machine", "p.machine"],
+         "deficiency takes at most one prefix and one monotone machine"),
+        (["deficiency", "s.seq", "--measure", "u.measure", "--machine", "m.machine", "--machine", "m.machine"],
+         "deficiency takes at most one prefix and one monotone machine"),
     ],
 )
-def test_usage_errors_are_one_line(capsys, argv, message):
+def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    # inputs a command would otherwise drop are refused, not ignored
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "s.seq", "0110")
+    write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    write(tmp_path, "p.machine", "0 1\n10 11\n")
+    write(tmp_path, "m.machine", "monotone\n- -\n0 0\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    by_word,
     random_dyadic_measure,
     random_listed,
     random_spec,
@@ -26,7 +27,7 @@ from helpers import (
     reference_realize,
     reference_sparsity,
 )
-from randlab.coupling import monotonize, sparsity_value, submask_hull
+from randlab.coupling import sparsity_value, submask_hull
 from randlab.exact import INF, fmt
 from randlab.measures import CapabilityError, DyadicMeasure, MeasureError, all_words, prefixes, realize
 from randlab.randtests import (
@@ -43,16 +44,12 @@ from randlab.randtests import (
 CASES = [(seed, depth) for depth in range(7) for seed in range(6)]
 
 
-def masses(measure: DyadicMeasure) -> dict:
-    return {x: measure.mass(x) for x in prefixes(measure.depth)}
-
-
 @pytest.mark.parametrize("seed,depth", CASES)
 def test_realize_matches_the_dict_walk(seed, depth):
     rng = random.Random(seed * 31 + depth)
     spec = random_spec(rng, depth)
     measure = realize(spec, depth)
-    assert masses(measure) == reference_realize(spec, depth)
+    assert by_word(measure) == reference_realize(spec, depth)
     assert measure.check() is None
     for length in range(depth + 1):
         assert len(measure.nums[length]) == 2 ** length
@@ -68,7 +65,7 @@ def test_from_leaves_reports_the_first_offending_prefix(seed, depth):
         leaves[all_words(depth)[0]] += 1 - sum(leaves.values())
     expected = reference_check(reference_fold(leaves, depth), depth)
     if expected is None:
-        assert masses(DyadicMeasure.from_leaves(depth, leaves)) == reference_fold(leaves, depth)
+        assert by_word(DyadicMeasure.from_leaves(depth, leaves)) == reference_fold(leaves, depth)
     else:
         with pytest.raises(MeasureError) as err:
             DyadicMeasure.from_leaves(depth, leaves)
@@ -89,19 +86,19 @@ def test_from_partial_matches_the_dict_walk(seed, depth):
     rng = random.Random(seed * 41 + depth)
     listed = random_listed(rng, depth)
     test = ExtendedTest.from_partial(depth, listed)
-    assert dict(test.values) == reference_from_partial(depth, listed)
-    assert all(test.value(x) == v for x, v in test.values.items())
+    assert by_word(test) == reference_from_partial(depth, listed)
+    assert all(test.value(x) == v for x, v in by_word(test).items())
 
 
 @pytest.mark.parametrize("seed,depth", CASES)
 def test_measures_and_tests_read_a_mapping_into_the_same_table(seed, depth):
-    mass = masses(realize(random_spec(random.Random(seed * 31 + depth), depth), depth))
+    mass = by_word(realize(random_spec(random.Random(seed * 31 + depth), depth), depth))
     measure, test = DyadicMeasure(depth, mass), ExtendedTest(depth, mass)
     assert (measure.nums, measure.dens) == (test.nums, test.dens)
     for k in range(depth + 1):
         assert list(test.level(k)) == list(measure.level(k)) == [(x, mass[x]) for x in all_words(k)]
         shallow = {x: v for x, v in mass.items() if len(x) <= k}
-        assert dict(test.truncated(k).values) == dict(ExtendedTest(k, shallow).values)
+        assert by_word(test.truncated(k)) == by_word(ExtendedTest(k, shallow))
         assert measure.truncated(k) == DyadicMeasure(k, shallow)
     assert (repr(measure), repr(test)) == (f"DyadicMeasure(depth={depth})", f"ExtendedTest(depth={depth})")
 
@@ -110,9 +107,9 @@ def test_measures_and_tests_read_a_mapping_into_the_same_table(seed, depth):
 def test_test_kernels_match_the_dict_walks(seed, depth):
     rng = random.Random(seed * 43 + depth)
     measure = realize(random_spec(rng, depth), depth)
-    mass = masses(measure)
+    mass = by_word(measure)
     test = ExtendedTest.from_partial(depth, random_listed(rng, depth))
-    values = dict(test.values)
+    values = by_word(test)
 
     averages = reference_level_averages(values, mass, depth)
     rows = validate_extended_test(test, measure).rows
@@ -129,7 +126,7 @@ def test_test_kernels_match_the_dict_walks(seed, depth):
     if holds:
         converted, report = prob_to_avg_convert(test, measure)
         expected, average = reference_convert(values, mass, depth)
-        assert dict(converted.values) == expected and report.average == average
+        assert by_word(converted) == expected and report.average == average
 
     x = random_word(rng, rng.randint(0, depth))
     below = [y for y in all_words(depth) if y.startswith(x)]
@@ -146,7 +143,7 @@ def test_martingale_mapping_with_infinities_matches_the_dict_walk(seed, depth):
     g = reference_from_partial(depth, random_listed(rng, depth, inf=True))
     for mode in ("martingale", "supermartingale"):
         report = martingale_check(g, measure, mode)
-        assert report.failures == reference_martingale_failures(g, masses(measure), depth, mode)
+        assert report.failures == reference_martingale_failures(g, by_word(measure), depth, mode)
 
 
 @pytest.mark.parametrize("seed,depth", CASES)
@@ -154,7 +151,6 @@ def test_hull_matches_the_word_by_word_max(seed, depth):
     rng = random.Random(seed * 53 + depth)
     t = {x: F(rng.randint(0, 9), rng.choice((1, 2, 3))) for x in all_words(depth)}
     expected = reference_hull(t)
-    assert monotonize(t) == expected
     assert submask_hull([t[x] for x in all_words(depth)]) == [expected[x] for x in all_words(depth)]
 
 
@@ -163,7 +159,7 @@ def test_martingale_oracle_sees_infinities():
     measure = random_dyadic_measure(random.Random(0), 3)
     g = {x: INF for x in prefixes(3)}
     failures = martingale_check(g, measure).failures
-    assert failures == reference_martingale_failures(g, masses(measure), 3, "martingale")
+    assert failures == reference_martingale_failures(g, by_word(measure), 3, "martingale")
 
 
 @pytest.mark.parametrize("word", ["0b1", "1_0", " 1", "1 ", "2"])

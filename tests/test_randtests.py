@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    by_word,
     random_dyadic_measure,
     random_monotone_machine,
     random_monotone_test,
@@ -58,7 +59,7 @@ def test_validate_antichain_generalization():
 
 def test_from_weights_examples():
     T = from_weights({"": F(1)}, UNIFORM2, 2)
-    assert all(v == 1 for _, v in sorted(T.values.items()))
+    assert all(v == 1 for v in by_word(T).values())
     T2 = from_weights({"1": F(2)}, UNIFORM2, 2)
     assert T2.value("") == 0 and T2.value("0") == 0 and T2.value("1") == 2
     assert T2.value("10") == T2.value("11") == 2
@@ -211,7 +212,7 @@ def test_floor_and_ceil_log2_meet_their_definitions(f):
 def test_convert_flat_test():
     T = ExtendedTest.from_partial(2, {"": F(1)})
     converted, report = prob_to_avg_convert(T, UNIFORM2)
-    assert all(v == F(1, 4) for _, v in converted.leaves())
+    assert all(v == F(1, 4) for _, v in converted.level(converted.depth))
     assert report.average == F(1, 4) <= CONVERT_AVG_BOUND
 
 

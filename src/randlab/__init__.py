@@ -47,7 +47,6 @@ from .randtests import (
 from .bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
-    class_average,
     extend_by_monotonicity,
     hypergeom_prefix_prob,
     replacement_domination_check,

@@ -8,17 +8,15 @@ nonnegativity on [0, 1] with Sturm sequences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional
+from typing import Optional
 
 from .exact import fmt
 from .measures import (
     CapabilityError,
     _doubled,
     _word,
-    all_words,
     bernoulli_mass,
     fill_down,
     validate_bits,
@@ -28,34 +26,13 @@ from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
 __all__ = [
     "MAX_URN_N",
-    "words_with_ones",
-    "class_average",
     "validate_combinatorial_test",
     "extend_by_monotonicity",
     "hypergeom_prefix_prob",
-    "UrnReport",
     "replacement_domination_check",
     "bernoulli_poly",
     "certify_bernoulli_test",
 ]
-
-
-def words_with_ones(n: int, k: int) -> list[str]:
-    """B(n, k): length-n words with exactly k ones, lexicographic."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return [x for x in all_words(n) if x.count("1") == k]
-
-
-def class_average(f: Mapping[str, Fraction], n: int, k: int) -> Fraction:
-    """Average of f over B(n, k)."""
-    members = words_with_ones(n, k)
-    total = Fraction(0)
-    for x in members:
-        if x not in f:
-            raise ValueError(f"function undefined on {x!r}")
-        total += Fraction(f[x])
-    return total / comb(n, k)
 
 
 def _class_sums(row: list[int], n: int) -> list[int]:
@@ -149,31 +126,12 @@ def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
 MAX_URN_N = 20
 
 
-@dataclass
-class UrnReport:
-    ok: bool
-    n: int
-    N: int
-    factor: Fraction
-    max_ratio: Fraction
-    argmax: Optional[tuple[int, str]]  # (K, word) attaining the max ratio
-
-    def tsv_rows(self):
-        where = f"K={self.argmax[0]},x={self.argmax[1]}" if self.argmax else "-"
-        return [
-            (
-                str(self.n),
-                fmt(self.factor),
-                fmt(self.max_ratio),
-                where,
-                "pass" if self.ok else "fail",
-            )
-        ]
-
-
-def replacement_domination_check(n: int) -> UrnReport:
+def replacement_domination_check(n: int) -> Verdict:
     """Verify the urn bound at N = n^2: sampling K of N without replacement
     never beats the p = K/N coin by more than (N/(N-n))^n on length-n words.
+
+    One row: n, the factor, the largest ratio and the (K, word) attaining
+    it, first in K and word order; that (K, word) is the witness on failure.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -196,7 +154,9 @@ def replacement_domination_check(n: int) -> UrnReport:
             if bern > 0 and hyper / bern > max_ratio:
                 max_ratio = hyper / bern
                 argmax = (K, x)
-    return UrnReport(ok=ok, n=n, N=N, factor=factor, max_ratio=max_ratio, argmax=argmax)
+    where = "K={},x={}".format(*argmax)
+    row = (str(n), fmt(factor), fmt(max_ratio), where, "pass" if ok else "fail")
+    return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
 
 
 def bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:

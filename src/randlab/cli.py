@@ -48,6 +48,7 @@ from .measures import CapabilityError, MeasureError, _words, count_upcrossings, 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
 VERDICT = ("prefix", "value", "bound", "verdict")
+PLAN = ("x", "y", "flow")
 UPPER_SET = ("upper_set_word", "P(U)", "Q(U)")
 
 # Argument specs: a bare name is a positional argument, otherwise (flag, options).
@@ -112,8 +113,8 @@ def _cond_average(args):
 def _martingale(args):
     test = parse_test_file(args.g)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
-    report = rt.martingale_check(test, measure, args.mode)
-    return ("prefix", "lhs", "rhs", "verdict"), report.tsv_rows(), report.ok
+    verdict = rt.martingale_check(test, measure, args.mode)
+    return ("prefix", "lhs", "rhs", "verdict"), verdict.rows, verdict.ok
 
 
 def _prob_check(args):
@@ -129,9 +130,10 @@ def _prob_check(args):
 def _convert(args):
     test = parse_test_file(args.test)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
-    converted, report = rt.prob_to_avg_convert(test, measure)
+    converted, average = rt.prob_to_avg_convert(test, measure)
     rows = [(x, v, "-", "value") for x, v in format_values(converted)]
-    return VERDICT, rows + report.tsv_rows(), report.ok
+    rows.append(("leaf-average", fmt(average), fmt(rt.CONVERT_AVG_BOUND), "pass"))
+    return VERDICT, rows, True
 
 
 def _bernoulli_validate(args):
@@ -146,8 +148,8 @@ def _bernoulli_extend(args):
 
 
 def _urn_check(args):
-    report = bl.replacement_domination_check(args.n)
-    return ("n", "factor", "max_ratio", "argmax", "verdict"), report.tsv_rows(), report.ok
+    verdict = bl.replacement_domination_check(args.n)
+    return ("n", "factor", "max_ratio", "argmax", "verdict"), verdict.rows, verdict.ok
 
 
 def _certify_bernoulli(args):
@@ -161,26 +163,20 @@ def _lower_upper(args):
 
 
 def _coupling(args):
-    result = cp.is_coupled_below(*_lower_upper(args), args.depth)
-    if result.coupled:
-        rows = [(x, y, fmt(v)) for (x, y), v in sorted(result.witness.items())]
-        return ("x", "y", "flow"), rows, True
-    rows = [(y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.certificate]
-    return UPPER_SET, rows, False
+    verdict = cp.is_coupled_below(*_lower_upper(args), args.depth)
+    return PLAN if verdict.ok else UPPER_SET, verdict.rows, verdict.ok
 
 
 def _monotone_criterion(args):
-    result = cp.monotone_criterion_check(*_lower_upper(args), args.depth)
-    if result.ok:
-        return UPPER_SET, [("all", "-", "pass")], True
-    rows = [(y, fmt(result.p_mass), fmt(result.q_mass)) for y in result.failing_upper_set]
-    return UPPER_SET, rows, False
+    verdict = cp.monotone_criterion_check(*_lower_upper(args), args.depth)
+    return UPPER_SET, verdict.rows, verdict.ok
 
 
 def _monotonize(args):
     test = parse_test_file(args.test)
     hull, den = cp.submask_hull(test.nums[-1]), test.dens[-1]
-    return ("word", "value"), list(zip(_words(test.depth), fmt_ratios(hull, den))), True
+    words = map(format_word, _words(test.depth))
+    return ("word", "value"), list(zip(words, fmt_ratios(hull, den))), True
 
 
 def _sparsity(args):
@@ -203,8 +199,8 @@ def _separator(args):
             n = int(args.target)
         except ValueError as exc:
             raise ParseError("--certify expects an integer block length") from exc
-        report = sp.chebyshev_tail_check(n, p)
-        return ("n", "p", "mu", "deviating_counts", "verdict"), report.tsv_rows(), report.certified
+        verdict = sp.chebyshev_tail_check(n, p)
+        return ("n", "p", "mu", "deviating_counts", "verdict"), verdict.rows, verdict.ok
     omega = parse_sequence_file(args.target)
     rows = sp.separator_value(omega, p).tsv_rows()
     if args.class_test:

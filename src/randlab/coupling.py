@@ -16,12 +16,13 @@ one pass over the row each.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Optional, TypeVar
+from typing import Mapping, TypeVar
 
+from .exact import fmt
+from .formats import format_word
 from .measures import (
     Bernoulli,
     CapabilityError,
@@ -33,20 +34,17 @@ from .measures import (
     realize,
     validate_bits,
 )
-from .randtests import ExtendedTest
+from .randtests import ExtendedTest, Verdict
 
 V = TypeVar("V")
 
 __all__ = [
     "CapabilityError",
-    "CouplingResult",
     "leq_words",
     "is_coupled_below",
     "enumerate_upper_sets",
-    "CriterionResult",
     "monotone_criterion_check",
     "submask_hull",
-    "PushdownReport",
     "pushdown_measure",
     "sparsity_value",
 ]
@@ -57,15 +55,6 @@ def leq_words(x: str, y: str) -> bool:
     if len(x) != len(y):
         raise ValueError("coordinatewise order needs equal lengths")
     return all(a <= b for a, b in zip(x, y))
-
-
-@dataclass
-class CouplingResult:
-    coupled: bool
-    witness: Optional[dict[tuple[str, str], Fraction]]  # transportation plan {(x, y): mass}, x <= y
-    certificate: Optional[list[str]]  # violating upper set, sorted
-    p_mass: Optional[Fraction] = None
-    q_mass: Optional[Fraction] = None
 
 
 def _hasse_flow(
@@ -177,15 +166,16 @@ def _hasse_flow(
     return total, plan, [d >= 0 for d in level[:size]]
 
 
-def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CouplingResult:
+def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     """Decide whether the level-n restriction of P can be coupled below Q.
 
     The masses are scaled to integers by the lcm of the level's
     denominators and sent through an integer max flow on the Hasse diagram
     of {0,1}^n, which by Strassen's theorem has the same value as the flow
-    over all pairs x <= y.  Feasibility returns the transportation plan;
-    infeasibility returns the residual-reachable side of the min cut: the
-    inclusion-minimal upper set U maximizing P(U) - Q(U), with P(U) > Q(U).
+    over all pairs x <= y.  Feasibility returns the transportation plan,
+    one (x, y, mass) row per pair in word order; infeasibility returns the
+    residual-reachable side of the min cut: the inclusion-minimal upper set
+    U maximizing P(U) - Q(U), with P(U) > Q(U).
     """
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
@@ -196,19 +186,20 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CouplingResu
     total, plan, reachable = _hasse_flow(n, supply, demand)
     if total == sum(supply):
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
-        return CouplingResult(coupled=True, witness=flow, certificate=None)
+        rows = [(format_word(x), format_word(y), fmt(v)) for (x, y), v in sorted(flow.items())]
+        return Verdict(ok=True, rows=rows, witness=flow)
     upper = [x for x, inside in enumerate(reachable) if inside]
     p_u = Fraction(sum(supply[x] for x in upper), scale)
     q_u = Fraction(sum(demand[x] for x in upper), scale)
     if not p_u > q_u:
         raise AssertionError("min-cut certificate failed to separate the masses")
-    return CouplingResult(
-        coupled=False,
-        witness=None,
-        certificate=[words[x] for x in upper],
-        p_mass=p_u,
-        q_mass=q_u,
-    )
+    return _refuted([words[x] for x in upper], p_u, q_u)
+
+
+def _refuted(upper: list[str], p_u: Fraction, q_u: Fraction) -> Verdict:
+    """The failed verdict of a sorted upper set U with P(U) = p_u > q_u = Q(U)."""
+    rows = [(format_word(y), fmt(p_u), fmt(q_u)) for y in upper]
+    return Verdict(ok=False, rows=rows, witness=(upper, p_u, q_u))
 
 
 @lru_cache(maxsize=None)
@@ -243,26 +234,20 @@ def enumerate_upper_sets(n: int) -> tuple[frozenset, ...]:
     return tuple(sorted(closures, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-@dataclass
-class CriterionResult:
-    ok: bool
-    failing_upper_set: Optional[list[str]]
-    p_mass: Optional[Fraction] = None
-    q_mass: Optional[Fraction] = None
+def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
+    """Brute-force Strassen criterion: P(U) <= Q(U) for every upper set U.
 
-
-def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> CriterionResult:
-    """Brute-force Strassen criterion: P(U) <= Q(U) for every upper set U."""
+    Holding, it reports one `all` row; failing, one row per word of the
+    first violating upper set in `enumerate_upper_sets` order.
+    """
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
     for upper in enumerate_upper_sets(n):
         p_u = sum((P.mass(x) for x in upper), Fraction(0))
         q_u = sum((Q.mass(y) for y in upper), Fraction(0))
         if p_u > q_u:
-            return CriterionResult(
-                ok=False, failing_upper_set=sorted(upper), p_mass=p_u, q_mass=q_u
-            )
-    return CriterionResult(ok=True, failing_upper_set=None)
+            return _refuted(sorted(upper), p_u, q_u)
+    return Verdict(ok=True, rows=[("all", "-", "pass")])
 
 
 def submask_hull(row: list[V]) -> list[V]:
@@ -277,22 +262,15 @@ def submask_hull(row: list[V]) -> list[V]:
     return hull
 
 
-@dataclass
-class PushdownReport:
-    coupled_ok: bool
-    equality_ok: bool
-    lhs: Fraction  # sum t dQ*
-    rhs: Fraction  # sum monotonized-t dB_p
-
-
 def pushdown_measure(
     t: Mapping[str, Fraction], p: Fraction, n: int
-) -> tuple[DyadicMeasure, PushdownReport]:
+) -> tuple[DyadicMeasure, Fraction]:
     """Move each coin-measure leaf mass down to the smallest maximizer of t.
 
     Realizes the monotonization argument exactly: the resulting measure Q*
     couples below the coin measure and integrates t to the same value the
-    coin measure gives the monotone hull of t.  Both claims are re-verified.
+    coin measure gives the monotone hull of t.  Both claims are re-verified;
+    returns Q* and that integral.
     """
     words = all_words(n)
     if len(t) != len(words) or any(x not in t for x in words):
@@ -309,13 +287,9 @@ def pushdown_measure(
     q_star = DyadicMeasure._of_levels(fold_up(moved, operator.add), [den] * (n + 1))
     lhs = sum(map(operator.mul, moved, row), Fraction(0)) / den
     rhs = sum((mass * hull for mass, (hull, _) in zip(leaves, best)), Fraction(0)) / den
-    coupled = is_coupled_below(q_star, coin, n).coupled
-    report = PushdownReport(
-        coupled_ok=coupled, equality_ok=lhs == rhs, lhs=lhs, rhs=rhs
-    )
-    if not (report.coupled_ok and report.equality_ok):
+    if not (is_coupled_below(q_star, coin, n).ok and lhs == rhs):
         raise AssertionError("pushdown proof obligations failed")
-    return q_star, report
+    return q_star, lhs
 
 
 def sparsity_value(test: ExtendedTest, x: str) -> Fraction:

@@ -84,6 +84,8 @@ def mixture_deficiency(
     mixture mass.
     """
     mix = weights if isinstance(weights, PointMixture) else PointMixture(tuple(weights))
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if not 0 <= i < len(sequences):
         raise ValueError("sequence index out of range")
     if len(mix.weights) != len(sequences):
@@ -200,6 +202,8 @@ def sperner_search(
     k = len(sequences)
     if k < 1:
         raise ValueError("need at least one sequence")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     chains = comb(resolution + k - 1, k - 1) * factorial(k - 1)

@@ -49,10 +49,8 @@ __all__ = [
     "sum_test_values",
     "min_extension",
     "conditional_average",
-    "MartingaleReport",
     "martingale_check",
     "prob_bound_check",
-    "ConvertReport",
     "prob_to_avg_convert",
     "convert_value",
     "CONVERT_AVG_BOUND",
@@ -150,15 +148,29 @@ def _dot(a: list[int], b: list[int]) -> int:
 
 @dataclass
 class Verdict:
-    """An exact check: 4-column report rows and, when `ok` is false, a witness.
+    """An exact check: `ok`, its report rows and a witness.
 
-    The witness is the first violation found; each checking function
-    documents its form (a message, or the exact values that refute the
-    property).
+    Rows are tuples of strings, one per column of the report's header.  The
+    witness is None when the check holds, except for a coupling, and
+    otherwise refutes it.  Its form per check:
+
+    - `validate_extended_test`, `bernoulli.validate_combinatorial_test`: a
+      message naming the first violation;
+    - `prob_bound_check`: (N, P{T > N}) with P{T > N} > 1/N;
+    - `martingale_check`: the list of failing (prefix, lhs, rhs);
+    - `bernoulli.certify_bernoulli_test`: (level, p) for the first level
+      whose coin average exceeds 1 at p;
+    - `bernoulli.replacement_domination_check`: the (K, word) whose ratio
+      exceeds the factor;
+    - `separator.chebyshev_tail_check`: the tail mass mu, when mu^5 n >= 1;
+    - `coupling.monotone_criterion_check`: (sorted upper set U, P(U), Q(U))
+      with P(U) > Q(U);
+    - `coupling.is_coupled_below`: the plan {(x, y): mass} when `ok` (P is
+      coupled below Q), else (U, P(U), Q(U)) as above.
     """
 
     ok: bool
-    rows: list[tuple[str, str, str, str]]
+    rows: list[tuple[str, ...]]
     witness: object = None
 
 
@@ -394,25 +406,13 @@ def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> E
     return value
 
 
-@dataclass
-class MartingaleReport:
-    ok: bool
-    mode: str
-    failures: list[tuple[str, Ext, Ext]]
-
-    def tsv_rows(self) -> list[tuple[str, str, str, str]]:
-        if self.ok:
-            return [("all", "-", "-", f"{self.mode}:pass")]
-        return [
-            (x if x else "-", fmt(lhs), fmt(rhs), f"{self.mode}:fail")
-            for x, lhs, rhs in self.failures
-        ]
-
-
 def martingale_check(
     g: Union[ExtendedTest, Mapping[str, Ext]], measure: DyadicMeasure, mode: str = "martingale"
-) -> MartingaleReport:
+) -> Verdict:
     """Verify P(x)g(x) = (or >=) P(x0)g(x0) + P(x1)g(x1) at every interior x.
+
+    One row per failing prefix, or one `all` row when none fails; the
+    witness lists the failing (prefix, lhs, rhs).
 
     A mapping g may hold `INF`; it is defined up to one less than the length
     of its first missing prefix.  The products use the convention
@@ -449,7 +449,10 @@ def martingale_check(
         (_word(i, length), _ratio(lhs, den), _ratio(rhs, den))
         for length, i, lhs, rhs, den in _unbalanced_parents(products, dens, fails)
     ]
-    return MartingaleReport(ok=not failures, mode=mode, failures=failures)
+    if not failures:
+        return Verdict(ok=True, rows=[("all", "-", "-", f"{mode}:pass")])
+    rows = [(x or "-", fmt(lhs), fmt(rhs), f"{mode}:fail") for x, lhs, rhs in failures]
+    return Verdict(ok=False, rows=rows, witness=failures)
 
 
 def _ratio(num, den: int) -> Ext:
@@ -525,24 +528,15 @@ def convert_value(t: Fraction) -> Fraction:
     return t / (log * log)
 
 
-@dataclass
-class ConvertReport:
-    ok: bool
-    average: Fraction
-    bound: Fraction
-
-    def tsv_rows(self) -> list[tuple[str, str, str, str]]:
-        return [("leaf-average", fmt(self.average), fmt(self.bound), "pass" if self.ok else "fail")]
-
-
 def prob_to_avg_convert(
     test: ExtendedTest, measure: DyadicMeasure
-) -> tuple[ExtendedTest, ConvertReport]:
+) -> tuple[ExtendedTest, Fraction]:
     """Damp a probability-bounded test into an average-bounded one.
 
     Leaf values are mapped through :func:`convert_value`; interior values
     are the minima over descendant leaves, which restores monotonicity.
-    The exact leaf-level average is reported against the documented bound.
+    Returns the converted test and its exact leaf-level average, which is
+    re-verified against :data:`CONVERT_AVG_BOUND`.
     """
     check = prob_bound_check(test, measure)
     if not check.ok:
@@ -556,9 +550,8 @@ def prob_to_avg_convert(
     leaves = list(map(scaled.__getitem__, test.nums[-1]))
     converted = ExtendedTest._of_levels(fold_up(leaves, min), [den] * (test.depth + 1))
     average = Fraction(_dot(measure.nums[test.depth], leaves), measure.dens[test.depth] * den)
-    ok = average <= CONVERT_AVG_BOUND
-    if not ok:
+    if average > CONVERT_AVG_BOUND:
         raise AssertionError(
             f"certified conversion bound violated: {average} > {CONVERT_AVG_BOUND}"
         )
-    return converted, ConvertReport(ok=ok, average=average, bound=CONVERT_AVG_BOUND)
+    return converted, average

@@ -15,11 +15,10 @@ from typing import Optional
 
 from .exact import fmt
 from .measures import CapabilityError, validate_bits
-from .randtests import ExtendedTest
+from .randtests import ExtendedTest, Verdict
 
 __all__ = [
     "deviation_exceeds",
-    "TailReport",
     "chebyshev_tail_check",
     "MAX_TAIL_N",
     "MAX_TAIL_DIGITS",
@@ -44,26 +43,6 @@ def deviation_exceeds(count: int, n: int, p: Fraction) -> bool:
     return lhs > n ** 3 * b ** 5
 
 
-@dataclass
-class TailReport:
-    n: int
-    p: Fraction
-    mu: Fraction
-    certified: bool  # mu^5 * n < 1, the exact form of mu < n^(-1/5... times)
-    deviating_counts: list[int]
-
-    def tsv_rows(self):
-        return [
-            (
-                str(self.n),
-                fmt(self.p),
-                fmt(self.mu),
-                ",".join(map(str, self.deviating_counts)) or "-",
-                "certified" if self.certified else "fail",
-            )
-        ]
-
-
 #: Largest tail-check block length: n = 2000 takes up to about 2 s on a
 #: 2-core x86-64 machine with Python 3.11.
 MAX_TAIL_N = 2048
@@ -73,9 +52,13 @@ MAX_TAIL_N = 2048
 MAX_TAIL_DIGITS = 4000
 
 
-def chebyshev_tail_check(n: int, p: Fraction) -> TailReport:
-    """Exact coin mass of {length-n words whose one-count deviates by more
-    than n^0.6} and the certificate mu^5 < 1/n (i.e. mu < n^-0.2)."""
+def chebyshev_tail_check(n: int, p: Fraction) -> Verdict:
+    """Exact coin mass mu of {length-n words whose one-count deviates by more
+    than n^0.6} and the certificate mu^5 < 1/n (i.e. mu < n^-0.2).
+
+    One row: n, p, mu, the deviating counts and whether mu is certified;
+    `ok` is the certificate, and the witness is mu when it fails.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     p = Fraction(p)
@@ -92,8 +75,10 @@ def chebyshev_tail_check(n: int, p: Fraction) -> TailReport:
     mu = sum(
         (comb(n, c) * p ** c * (1 - p) ** (n - c) for c in deviating), Fraction(0)
     )
-    certified = mu ** 5 * n < 1
-    return TailReport(n=n, p=p, mu=mu, certified=certified, deviating_counts=deviating)
+    ok = mu ** 5 * n < 1
+    counts = ",".join(map(str, deviating)) or "-"
+    row = (str(n), fmt(p), fmt(mu), counts, "certified" if ok else "fail")
+    return Verdict(ok=ok, rows=[row], witness=None if ok else mu)
 
 
 def _normalizer_bound() -> Fraction:

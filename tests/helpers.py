@@ -8,9 +8,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
-from randlab.bernoulli import UrnReport, hypergeom_prefix_prob
-from randlab.exact import INF, mul_nonneg
+from randlab.bernoulli import hypergeom_prefix_prob
+from randlab.coupling import is_coupled_below, pushdown_measure
+from randlab.exact import INF, fmt, mul_nonneg
 from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.measures import (
     Bernoulli,
@@ -21,10 +23,11 @@ from randlab.measures import (
     bernoulli_mass,
     block_frequency,
     prefixes,
+    realize,
 )
 from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
 from randlab.poly import UnivariatePoly, constant
-from randlab.randtests import convert_value, ExtendedTest, from_weights
+from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
 
@@ -123,7 +126,7 @@ def reference_monotone_output_prob(machine: MonotoneMachine, x: str, horizon: in
     return Fraction(hits, 2 ** horizon)
 
 
-def reference_urn_check(n: int) -> UrnReport:
+def reference_urn_check(n: int) -> Verdict:
     """The urn bound at N = n^2 scored on every length-n word, K by K in
     word order: the definition `replacement_domination_check` must agree with."""
     N = n * n
@@ -139,7 +142,28 @@ def reference_urn_check(n: int) -> UrnReport:
             if bern > 0 and hyper / bern > max_ratio:
                 max_ratio = hyper / bern
                 argmax = (K, x)
-    return UrnReport(ok=ok, n=n, N=N, factor=factor, max_ratio=max_ratio, argmax=argmax)
+    where = f"K={argmax[0]},x={argmax[1]}"
+    row = (str(n), fmt(factor), fmt(max_ratio), where, "pass" if ok else "fail")
+    return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
+
+
+def words_with_ones(n: int, k: int) -> list[str]:
+    """B(n, k): length-n words with exactly k ones, lexicographic."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return [x for x in all_words(n) if x.count("1") == k]
+
+
+def class_average(f: dict[str, Fraction], n: int, k: int) -> Fraction:
+    """Average of f over B(n, k), word by word: the reference for the class
+    rows of `validate_combinatorial_test`."""
+    members = words_with_ones(n, k)
+    total = Fraction(0)
+    for x in members:
+        if x not in f:
+            raise ValueError(f"function undefined on {x!r}")
+        total += Fraction(f[x])
+    return total / comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +288,18 @@ def reference_hull(t: dict[str, Fraction]) -> dict[str, Fraction]:
         x: max(v for y, v in t.items() if all(a <= b for a, b in zip(y, x)))
         for x in t
     }
+
+
+def check_pushdown(t: dict[str, Fraction], p: Fraction, n: int) -> None:
+    """Both claims of `pushdown_measure`, checked again from outside: Q*
+    couples below the coin, and its integral of t, which it returns, equals
+    the coin's integral of the monotone hull of t."""
+    q_star, integral = pushdown_measure(t, p, n)
+    coin = realize(Bernoulli(p), n)
+    assert is_coupled_below(q_star, coin, n).ok
+    hull = reference_hull(t)
+    assert integral == sum((q_star.mass(x) * t[x] for x in t), Fraction(0))
+    assert integral == sum((coin.mass(x) * hull[x] for x in t), Fraction(0))
 
 
 def reference_pushdown(t: dict[str, Fraction], p: Fraction, n: int) -> dict[str, Fraction]:

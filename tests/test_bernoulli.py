@@ -5,16 +5,21 @@ from math import comb
 
 import pytest
 
-from helpers import by_word, random_listed, reference_bernoulli_poly, reference_urn_check
+from helpers import (
+    by_word,
+    class_average,
+    random_listed,
+    reference_bernoulli_poly,
+    reference_urn_check,
+    words_with_ones,
+)
 from randlab.bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
-    class_average,
     extend_by_monotonicity,
     hypergeom_prefix_prob,
     replacement_domination_check,
     validate_combinatorial_test,
-    words_with_ones,
 )
 from randlab.exact import fmt
 from randlab.measures import all_words, bernoulli_mass, prefixes
@@ -129,18 +134,16 @@ def test_hypergeom_matches_exchangeable_formula():
 @pytest.mark.parametrize("n,factor", [(2, F(4)), (3, F(27, 8)), (4, F(256, 81))])
 def test_urn_domination(n, factor):
     report = replacement_domination_check(n)
-    assert report.ok
-    assert report.factor == factor
-    assert report.max_ratio <= factor
+    assert report.ok and report.witness is None
+    [(n_text, factor_text, max_ratio, _, verdict)] = report.rows
+    assert (n_text, factor_text, verdict) == (str(n), fmt(factor), "pass")
+    assert F(max_ratio) <= factor
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_urn_check_scores_one_word_per_class_like_every_word(n):
-    fast, slow = replacement_domination_check(n), reference_urn_check(n)
-    assert (fast.ok, fast.factor, fast.max_ratio, fast.argmax) == (
-        slow.ok, slow.factor, slow.max_ratio, slow.argmax
-    )
-    assert fast.tsv_rows() == slow.tsv_rows()
+    # the row carries n, the factor, the largest ratio and its (K, word)
+    assert replacement_domination_check(n) == reference_urn_check(n)
 
 
 def test_class_average_rows_match_class_average_on_random_tables():

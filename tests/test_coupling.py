@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_dyadic_measure, reference_pushdown
+from helpers import check_pushdown, random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
     CapabilityError,
     enumerate_upper_sets,
@@ -15,6 +15,7 @@ from randlab.coupling import (
     sparsity_value,
     submask_hull,
 )
+from randlab.exact import fmt
 from randlab.measures import Bernoulli, all_words, point_mass, realize
 from randlab.randtests import from_weights
 
@@ -24,22 +25,23 @@ def test_point_mass_at_bottom_couples_below_anything():
     bottom = point_mass("000", 3)
     for _ in range(10):
         q = random_dyadic_measure(rng, 3)
-        assert is_coupled_below(bottom, q, 3).coupled
+        assert is_coupled_below(bottom, q, 3).ok
 
 
 def test_top_point_mass_vs_uniform_certificate():
     result = is_coupled_below(point_mass("1", 1), realize(Bernoulli(F(1, 2)), 1), 1)
-    assert not result.coupled
-    assert result.certificate == ["1"]
-    assert result.p_mass == 1 and result.q_mass == F(1, 2)
+    assert not result.ok
+    assert result.witness == (["1"], 1, F(1, 2))
+    assert result.rows == [("1", "1/1", "1/2")]
 
 
 def test_bernoulli_family_is_stochastically_monotone():
     b13 = realize(Bernoulli(F(1, 3)), 3)
     b12 = realize(Bernoulli(F(1, 2)), 3)
     result = is_coupled_below(b13, b12, 3)
-    assert result.coupled
+    assert result.ok
     plan = result.witness
+    assert result.rows == [(x, y, fmt(v)) for (x, y), v in sorted(plan.items())]
     for x in all_words(3):
         assert sum((v for (a, _), v in plan.items() if a == x), F(0)) == b13.mass(x)
         assert sum((v for (_, b), v in plan.items() if b == x), F(0)) == b12.mass(x)
@@ -66,7 +68,8 @@ def test_criterion_failure_names_upper_set():
         point_mass("11", 2), realize(Bernoulli(F(1, 2)), 2), 2
     )
     assert not result.ok
-    assert result.failing_upper_set == ["11"]
+    assert result.witness == (["11"], 1, F(1, 4))
+    assert result.rows == [("11", "1/1", "1/4")]
 
 
 def test_criterion_quarter_below_three_quarters():
@@ -81,7 +84,7 @@ def test_flow_and_criterion_agree():
         n = rng.randrange(1, 5)
         p = random_dyadic_measure(rng, n)
         q = random_dyadic_measure(rng, n)
-        assert is_coupled_below(p, q, n).coupled == monotone_criterion_check(p, q, n).ok
+        assert is_coupled_below(p, q, n).ok == monotone_criterion_check(p, q, n).ok
 
 
 def test_monotonize_examples():
@@ -108,23 +111,23 @@ def test_monotonize_idempotent_and_dominating(raw):
 
 def test_pushdown_monotone_input_is_identity():
     t = {"0": F(1), "1": F(2)}
-    q_star, report = pushdown_measure(t, F(1, 3), 1)
-    assert report.lhs == report.rhs
+    q_star, integral = pushdown_measure(t, F(1, 3), 1)
+    assert integral == F(2, 3) * 1 + F(1, 3) * 2
     assert q_star.mass("0") == F(2, 3) and q_star.mass("1") == F(1, 3)
 
 
 def test_pushdown_indicator_of_zero():
     t = {"0": F(1), "1": F(0)}
-    q_star, report = pushdown_measure(t, F(1, 2), 1)
+    q_star, integral = pushdown_measure(t, F(1, 2), 1)
     assert q_star.mass("0") == 1
-    assert report.lhs == report.rhs == 1
+    assert integral == 1
 
 
 def test_pushdown_corner_spike():
     t = {"00": F(2), "01": F(0), "10": F(0), "11": F(0)}
-    q_star, report = pushdown_measure(t, F(1, 2), 2)
+    q_star, integral = pushdown_measure(t, F(1, 2), 2)
     assert q_star.mass("00") == 1
-    assert report.lhs == report.rhs == 2
+    assert integral == 2
 
 
 def test_pushdown_random_instances():
@@ -133,8 +136,7 @@ def test_pushdown_random_instances():
         n = rng.randrange(1, 4)
         t = {x: F(rng.randrange(0, 6), rng.choice((1, 2))) for x in all_words(n)}
         p = F(rng.randrange(0, 5), 4)
-        q_star, report = pushdown_measure(t, p, n)
-        assert report.coupled_ok and report.equality_ok
+        check_pushdown(t, p, n)
 
 
 @pytest.mark.parametrize("t", [{"0": F(1), "1": F(0)}, {"00": F(1), "01": F(0), "10": F(0)}])
@@ -192,10 +194,11 @@ def test_flow_feasibility_matches_scipy_beyond_criterion_cap():
                 cap[1 + len(words) + i, size - 1] = int(q.mass(x) * denom)
             flow = maximum_flow(csr_matrix(cap), 0, size - 1).flow_value
             result = is_coupled_below(p, q, n)
-            assert result.coupled == (flow == denom)
-            if not result.coupled:
+            assert result.ok == (flow == denom)
+            if not result.ok:
                 # the certificate attains the min cut: P(U) - Q(U) = 1 - max flow
-                assert result.p_mass - result.q_mass == 1 - F(int(flow), denom)
+                _, p_u, q_u = result.witness
+                assert p_u - q_u == 1 - F(int(flow), denom)
 
 
 def test_certificate_is_the_minimal_maximizing_upper_set():
@@ -206,7 +209,7 @@ def test_certificate_is_the_minimal_maximizing_upper_set():
         p = random_dyadic_measure(rng, n)
         q = random_dyadic_measure(rng, n)
         result = is_coupled_below(p, q, n)
-        if result.coupled:
+        if result.ok:
             continue
         seen += 1
         gap = {u: sum((p.mass(x) - q.mass(x) for x in u), F(0)) for u in enumerate_upper_sets(n)}
@@ -214,8 +217,10 @@ def test_certificate_is_the_minimal_maximizing_upper_set():
         maximizers = [u for u, g in gap.items() if g == best]
         minimal = frozenset.intersection(*maximizers)
         assert minimal in maximizers
-        assert result.certificate == sorted(minimal)
-        assert result.p_mass - result.q_mass == best
+        upper, p_u, q_u = result.witness
+        assert upper == sorted(minimal)
+        assert p_u - q_u == best
+        assert result.rows == [(y, fmt(p_u), fmt(q_u)) for y in upper]
     assert seen > 20
 
 

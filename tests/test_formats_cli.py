@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import by_word, random_prefix_machine, reference_from_partial
+import randlab.cli
 import randlab.coupling
+from randlab import demo
 from randlab.cli import main
 from randlab.formats import (
     MAX_MIX_NESTING,
@@ -16,6 +19,7 @@ from randlab.formats import (
     parse_sequence_file,
     parse_test_file,
     render_test_file,
+    render_tsv,
 )
 from randlab.machines import MonotoneMachine, PrefixMachine, discrete_semimeasure, kp_of
 from randlab.bernoulli import MAX_URN_N
@@ -175,6 +179,34 @@ def test_cli_coupling_certificate(tmp_path, capsys):
     assert run_cli("coupling", uni, uni, "--depth", "2") == 0
 
 
+def test_every_report_row_fills_its_header(tmp_path, monkeypatch):
+    # `render_tsv` joins the cells as given: a short row would shift the
+    # columns, and an empty cell (the empty word at depth 0) would vanish
+    reports = []
+
+    def recording(header, rows):
+        rows = list(rows)
+        reports.append((header, rows))
+        return render_tsv(header, rows)
+
+    monkeypatch.setattr(randlab.cli, "render_tsv", recording)
+    monkeypatch.chdir(tmp_path)
+    for name, content in {**demo.INPUTS, "zero.test": "test 0\n- 3/1\n"}.items():
+        write(tmp_path, name, content)
+    depth_zero = [
+        ["coupling", "uniform.measure", "uniform.measure", "--depth", "0"],
+        ["monotonize", "zero.test"],
+    ]
+    for argv in [argv for _, argv in demo.COMMANDS] + depth_zero:
+        reports.clear()
+        assert main(argv + ["--out", "report.tsv"]) in (0, 1), argv
+        for header, rows in reports:
+            assert rows, argv
+            for row in rows:
+                assert len(row) == len(header), (argv, row)
+                assert all(isinstance(cell, str) and cell for cell in row), (argv, row)
+
+
 def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise AssertionError("min-cut certificate failed to separate the masses")
@@ -283,7 +315,7 @@ def test_cli_neutral_writes_report(tmp_path):
         )
         == 0
     )
-    content = open(out_path, encoding="ascii").read()
+    content = Path(out_path).read_text(encoding="ascii")
     assert content.splitlines()[0] == "weights\tlabel\tvalue\tdiameter"
     assert len(content.splitlines()) == 3
 
@@ -316,7 +348,7 @@ def test_cli_deterministic_output(tmp_path):
     out1, out2 = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
     assert run_cli("validate-test", test, "--measure", uni, "--out", out1) == 0
     assert run_cli("validate-test", test, "--measure", uni, "--out", out2) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 # Test files against the parse that builds every value as a `Fraction`
@@ -420,6 +452,7 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
          "deficiency takes at most one prefix and one monotone machine"),
         (["deficiency", "s.seq", "--measure", "u.measure", "--machine", "m.machine", "--machine", "m.machine"],
          "deficiency takes at most one prefix and one monotone machine"),
+        (["neutral", "s.seq", "s.seq", "--depth", "-1", "--resolution", "4"], "depth must be nonnegative"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

@@ -137,6 +137,15 @@ def test_search_needs_distinct_heads():
         sperner_search(["0011", "0010"], machine, 3, 4)
 
 
+def test_negative_depth_is_refused():
+    # a negative depth would slice bits off the end of every sequence
+    machine = canonical_machine()
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        sperner_search(["0" * 8, "1" * 8], machine, -1, 4)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        mixture_deficiency([F(1, 2), F(1, 2)], ["0" * 8, "1" * 8], 0, machine, -1)
+
+
 def test_random_mixtures_respect_budget_identity():
     # the weighted average of supported deficiencies equals the machine mass
     # of the covered prefixes, hence stays below 1

@@ -211,9 +211,9 @@ def test_floor_and_ceil_log2_meet_their_definitions(f):
 
 def test_convert_flat_test():
     T = ExtendedTest.from_partial(2, {"": F(1)})
-    converted, report = prob_to_avg_convert(T, UNIFORM2)
+    converted, average = prob_to_avg_convert(T, UNIFORM2)
     assert all(v == F(1, 4) for _, v in converted.level(converted.depth))
-    assert report.average == F(1, 4) <= CONVERT_AVG_BOUND
+    assert average == F(1, 4) <= CONVERT_AVG_BOUND
 
 
 def test_convert_constant_four():
@@ -235,8 +235,8 @@ def test_convert_random_instances_within_bound():
         depth = rng.randrange(1, 5)
         measure = random_dyadic_measure(rng, depth)
         T = random_monotone_test(rng, measure, depth)
-        converted, report = prob_to_avg_convert(T, measure)
-        assert report.average <= CONVERT_AVG_BOUND
+        converted, average = prob_to_avg_convert(T, measure)
+        assert average <= CONVERT_AVG_BOUND
         assert converted.is_monotone() is None
 
 

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 import pathlib
 
 import randlab
@@ -15,3 +16,14 @@ def test_no_bare_asserts_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(list(SOURCE.glob("*.py"))) > 10
     assert offenders == []
+
+
+def test_every_export_names_a_binding_of_its_module():
+    # a name deleted from a module but left in its `__all__` breaks `import *`
+    stale = []
+    for path in sorted(SOURCE.glob("[!_]*.py")):  # not `__main__`, which runs the CLI
+        module = importlib.import_module(f"randlab.{path.stem}")
+        exported = getattr(module, "__all__", [])
+        assert len(set(exported)) == len(exported), path.name
+        stale += [f"{path.stem}.{name}" for name in exported if not hasattr(module, name)]
+    assert stale == []

@@ -52,7 +52,6 @@ from .bernoulli import (
     replacement_domination_check,
     validate_combinatorial_test,
 )
-from .poly import UnivariatePoly
 from .coupling import (
     enumerate_upper_sets,
     is_coupled_below,

@@ -79,6 +79,10 @@ def validate_bits(word: str) -> str:
 
 
 def _capped(depth: int) -> int:
+    """`depth` itself, refused past the cap, and refused when negative with a
+    plain ValueError, which a test file reports as a bad file."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if depth > MAX_DEPTH:
         raise CapabilityError(f"prefix tables are capped at depth {MAX_DEPTH}, got {depth}")
     return depth
@@ -119,8 +123,9 @@ def all_words(length: int) -> list[str]:
 
 
 def prefixes(depth: int) -> Iterator[str]:
-    """Every word up to `depth`, shorter first, each length in word order, a level at a time."""
-    return (x for length in range(_capped(depth) + 1) for x in _words(length))
+    """Every word up to `depth`, shorter first, each length in word order, a
+    level at a time; none when `depth` is negative."""
+    return (x for length in range(_capped(depth) + 1 if depth >= 0 else 0) for x in _words(length))
 
 
 def fill_down(depth: int, root: V, step: Callable[[list[V], int], list[V]]) -> list[list[V]]:
@@ -170,8 +175,6 @@ class _PrefixTable:
         the prefixes in order and passing each value (None where x is
         unlisted) through the subclass's `_refuse`, which raises for a value
         the table does not take."""
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
         levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
         for x in prefixes(depth):
             v = Fraction(values[x]) if x in values else None
@@ -203,9 +206,7 @@ class _PrefixTable:
     def truncated(self, depth: int):
         if depth > self.depth:
             raise ValueError("cannot deepen a table by truncation")
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        return self._of_levels(self.nums[: depth + 1], self.dens[: depth + 1])
+        return self._of_levels(self.nums[: _capped(depth) + 1], self.dens[: depth + 1])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(depth={self.depth})"
@@ -261,8 +262,6 @@ class DyadicMeasure(_PrefixTable):
 
         Entries that are not binary words of length `depth` are ignored.
         """
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
         row = [0] * (1 << _capped(depth))
         given = {x: Fraction(v) for x, v in leaves.items() if len(x) == depth and not x.strip("01")}
         scaled, den = _common_denominator(given.values())
@@ -346,8 +345,6 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
     mixture puts each level over the lcm of (weight denominator x part
     denominator).
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     if isinstance(spec, Bernoulli):
         a, b = spec.p.numerator, spec.p.denominator
 
@@ -387,8 +384,6 @@ def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:
         raise ValueError(
             f"prefix of length {len(omega_prefix)} too short for depth {depth}"
         )
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     nums = [[0] * (1 << length) for length in range(_capped(depth) + 1)]
     for length, row in enumerate(nums):
         row[_index(omega_prefix[:length])] = 1

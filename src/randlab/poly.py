@@ -1,188 +1,119 @@
-"""Univariate polynomials over the rationals and Sturm-based sign decisions.
+"""Sturm-based sign decisions on integer coefficient rows.
 
-The only hard question asked of this module is: is q(p) >= 0 for every p in
-[0, 1]?  That is decided completely (tangential zeros included) by counting
-real roots of the squarefree part with Sturm sequences and sampling the sign
-between consecutive roots, all in exact rational arithmetic.
+A polynomial is a `list[int]`, ascending in degree with trailing zeros
+trimmed.  Whether q(p) >= 0 for every p in [0, 1] is decided completely
+(tangential zeros included) by Sturm root counts of the squarefree part and
+a sign sample between roots.  Pseudo-divisions multiply by powers of
+|leading coefficient| and Sturm rows are divided by their content, so each
+row is a positive multiple of its rational counterpart with the same signs.
+A `Fraction` is only a point of [0, 1]: a bisection endpoint or the witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 
-@dataclass(frozen=True)
-class UnivariatePoly:
-    """Coefficients in ascending degree order, trailing zeros trimmed."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    def scale(self, c: Fraction) -> "UnivariatePoly":
-        return UnivariatePoly([Fraction(c) * a for a in self.coeffs])
-
-    def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quotient[shift] += factor
-            for i in range(d + 1):
-                rem[shift + i] -= factor * other.coeffs[i]
-        return UnivariatePoly(quotient), UnivariatePoly(rem)
-
-    def __repr__(self) -> str:
-        return f"UnivariatePoly({list(self.coeffs)})"
+def _trimmed(row: Sequence[int]) -> list[int]:
+    out = list(row)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def constant(c: Fraction) -> UnivariatePoly:
-    return UnivariatePoly([Fraction(c)])
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
 
 
-def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.coeffs[-1])
+def _derivative(row: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(row)][1:]
 
 
-def squarefree_part(p: UnivariatePoly) -> UnivariatePoly:
-    if p.degree <= 0:
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with |lc(b)|^k a = q b + r and deg r < deg b, for some k >= 0.
+    The multiplier is positive, so r keeps the rational remainder's signs."""
+    lead, sign, d = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
+    q, r = [0] * (len(a) - d), list(a)
+    while len(r) > d:
+        shift, top = len(r) - 1 - d, sign * r[-1]
+        q = [lead * c for c in q]
+        q[shift] += top
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        r = _trimmed(r)
+    return q, r
+
+
+def _sign_at(row: list[int], x: Fraction) -> int:
+    """Sign of row(u/v) as the sign of sum_i c_i u^i v^(d-i), with v > 0."""
+    u, v = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(row):
+        acc = acc * u + c * scale
+        scale *= v
+    return (acc > 0) - (acc < 0)
+
+
+def squarefree_part(p: list[int]) -> list[int]:
+    """p / gcd(p, p') up to a nonzero constant: p's distinct roots, each simple."""
+    a, b = p, _derivative(p)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    if len(a) <= 1:
         return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    if not r.is_zero():
+    q, r = _pseudo_divmod(p, a)
+    if r:
         raise AssertionError("gcd(p, p') does not divide p")
-    return q
+    return _primitive(q)
 
 
-def sturm_chain(p: UnivariatePoly) -> list[UnivariatePoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+def sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated remainders, each a positive multiple of the
+    rational Sturm sequence's row."""
+    chain = [p, _derivative(p)]
+    while len(chain[-1]) > 1 and (r := _pseudo_divmod(chain[-2], chain[-1])[1]):
+        chain.append(_primitive([-c for c in r]))
+    return [q for q in chain if q]
 
 
-def sign_variations(chain: Sequence[UnivariatePoly], x: Fraction) -> int:
-    signs = [q(x) for q in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _variations(chain: Sequence[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(chain: Sequence[UnivariatePoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of chain[0] in (a, b], assuming chain[0] squarefree."""
-    if a >= b:
-        return 0
-    return sign_variations(chain, a) - sign_variations(chain, b)
+def count_roots_open(chain: Sequence[list[int]], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of chain[0] in (a, b), for a < b and chain[0] squarefree."""
+    n = _variations(chain, a) - _variations(chain, b)
+    return n - 1 if chain and _sign_at(chain[0], b) == 0 else n
 
 
-def count_roots_open(chain: Sequence[UnivariatePoly], a: Fraction, b: Fraction) -> int:
-    n = count_roots_halfopen(chain, a, b)
-    if chain and chain[0](b) == 0:
-        n -= 1
-    return n
-
-
-def nonneg_on_unit_interval(p: UnivariatePoly) -> tuple[bool, Optional[Fraction]]:
+def nonneg_on_unit_interval(p: Sequence[int]) -> tuple[bool, Optional[Fraction]]:
     """Decide p(x) >= 0 for all x in [0, 1]; on failure return a witness x.
 
     Sign changes can only happen across roots of the squarefree part, so the
     interval is bisected until every piece either contains no root (one
-    sample decides it) or is bracketed by strictly positive endpoint values
-    around a single root (where no dip below zero is possible).
+    sample decides it) or holds a single root between strictly positive
+    endpoint values (where the sign cannot dip below zero).
     """
-    if p.is_zero():
+    p = _trimmed(p)
+    if not p:
         return True, None
-    zero, one = Fraction(0), Fraction(1)
-    if p(zero) < 0:
-        return False, zero
-    if p(one) < 0:
-        return False, one
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-
-    stack = [(zero, one)]
+    chain = sturm_chain(squarefree_part(p))
+    stack = [(Fraction(0), Fraction(1))]
     while stack:
         a, b = stack.pop()
-        if p(a) < 0:
+        sa, sb = _sign_at(p, a), _sign_at(p, b)
+        if sa < 0:
             return False, a
-        if p(b) < 0:
+        if sb < 0:
             return False, b
         n = count_roots_open(chain, a, b)
         mid = (a + b) / 2
-        if n == 0:
-            v = p(mid)
-            if v < 0:
-                return False, mid
-            continue
-        if n == 1 and p(a) > 0 and p(b) > 0:
-            # A single root with strictly positive brackets: the sign is
-            # constant on each side, hence nonnegative throughout.
-            continue
-        stack.append((a, mid))
-        stack.append((mid, b))
+        if n == 0 and _sign_at(p, mid) < 0:
+            return False, mid
+        if n > 1 or (n == 1 and sa * sb == 0):
+            stack += [(a, mid), (mid, b)]
     return True, None

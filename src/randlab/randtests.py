@@ -116,8 +116,6 @@ def _spread(
     """Levels down to `depth` over `den`: the root holds its listed
     numerator (else 0), and every other prefix combines what its parent
     holds with its own listed numerator."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     by_level: list[list[tuple[int, int]]] = [[] for _ in range(_capped(depth) + 1)]
     for x, v in listed.items():
         by_level[len(x)].append((_index(x), v))
@@ -468,7 +466,8 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     once, and each tail P{T >= v} is a suffix sum over the sorted values.
     On failure the witness is (N, P{T > N}) for a rational N strictly
     between the previous value and v with P{T > N} > 1/N; no leaf value lies
-    in that gap, so P{T > N} is the tail at v.
+    in that gap, so P{T > N} is the tail at v.  One row per positive value,
+    then, on failure, a `witness-N=` row with P{T > N} and 1/N.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
@@ -495,6 +494,9 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
             lower = max(previous, 1 / tail)
             witness = ((lower + v) / 2, tail)
         previous = v
+    if witness is not None:
+        n_value, tail = witness
+        rows.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
     return Verdict(ok=witness is None, rows=rows, witness=witness)
 
 

@@ -26,7 +26,6 @@ from randlab.measures import (
     realize,
 )
 from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
-from randlab.poly import UnivariatePoly, constant
 from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -262,23 +261,41 @@ def reference_convert(values, mass, depth: int) -> tuple[dict[str, Fraction], Fr
     return converted, sum((mass[y] * leaves[y] for y in leaves), Fraction(0))
 
 
-def reference_bernoulli_poly(test: ExtendedTest, n: int) -> UnivariatePoly:
+def poly_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists in ascending degree."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_at(coeffs, x: Fraction) -> Fraction:
+    """sum_i coeffs[i] x^i, by Horner's rule in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_bernoulli_poly(test: ExtendedTest, n: int) -> list[Fraction]:
     """sum_x T(x) p^ones(x) (1-p)^zeros(x) over the level-n words, as a sum
-    of the products p^k (1-p)^(n-k) scaled by the B(n, k) class sums."""
+    of the products p^k (1-p)^(n-k) scaled by the B(n, k) class sums: its
+    Fraction coefficients in ascending degree, trailing zeros trimmed."""
     by_ones = [Fraction(0)] * (n + 1)
     for x in all_words(n):
         by_ones[x.count("1")] += test.value(x)
-    result = UnivariatePoly([])
-    p_power = constant(Fraction(1))
-    p_poly = UnivariatePoly([Fraction(0), Fraction(1)])
-    one_minus_p = UnivariatePoly([Fraction(1), Fraction(-1)])
+    result = [Fraction(0)] * (n + 1)
+    p_power = [Fraction(1)]
     for k in range(n + 1):
         if by_ones[k] != 0:
             q = p_power
             for _ in range(n - k):
-                q = q * one_minus_p
-            result = result + q.scale(by_ones[k])
-        p_power = p_power * p_poly
+                q = poly_mul(q, [Fraction(1), Fraction(-1)])
+            result = [r + by_ones[k] * c for r, c in zip(result, q)]
+        p_power = poly_mul(p_power, [Fraction(0), Fraction(1)])
+    while result and result[-1] == 0:
+        result.pop()
     return result
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from helpers import (
     check_pushdown,
+    poly_at,
     random_dyadic_measure,
     random_monotone_machine,
     random_monotone_test,
@@ -177,7 +178,8 @@ def test_criterion_06_combinatorial_bernoulli():
     rejection = certify_bernoulli_test(twop)
     assert not rejection.ok
     level, witness = rejection.witness
-    assert bernoulli_poly(twop, level)(witness) > 1
+    coeffs, den = bernoulli_poly(twop, level)
+    assert poly_at(coeffs, witness) > den
     report("criterion 6: combinatorial Bernoulli seeds and counterexample", 60.0, started)
 
 

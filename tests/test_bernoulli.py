@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     by_word,
     class_average,
+    poly_at,
     random_listed,
     reference_bernoulli_poly,
     reference_urn_check,
@@ -162,11 +163,14 @@ def test_class_average_rows_match_class_average_on_random_tables():
 
 def test_bernoulli_poly_examples():
     flat = ExtendedTest.from_partial(2, {"": F(1)})
-    assert bernoulli_poly(flat, 2).coeffs == (F(1),)
+    assert bernoulli_poly(flat, 2) == ([1], 1)  # trailing zeros trimmed
     up = ExtendedTest.from_partial(1, {"1": F(2)})
-    assert bernoulli_poly(up, 1).coeffs == (F(0), F(2))
+    assert bernoulli_poly(up, 1) == ([0, 2], 1)
     down = ExtendedTest(1, {"": F(0), "0": F(2), "1": F(0)})
-    assert bernoulli_poly(down, 1).coeffs == (F(2), F(-2))
+    assert bernoulli_poly(down, 1) == ([2, -2], 1)
+    thirds = ExtendedTest(1, {"": F(1, 3), "0": F(1, 3), "1": F(2, 3)})
+    assert bernoulli_poly(thirds, 1) == ([1, 1], 3)
+    assert bernoulli_poly(ExtendedTest.from_partial(2, {}), 2) == ([], 1)
 
 
 def test_bernoulli_poly_matches_the_product_expansion():
@@ -175,7 +179,8 @@ def test_bernoulli_poly_matches_the_product_expansion():
         depth = rng.randint(0, 7)
         test = ExtendedTest.from_partial(depth, random_listed(rng, depth))
         for n in range(depth + 1):
-            assert bernoulli_poly(test, n) == reference_bernoulli_poly(test, n)
+            coeffs, den = bernoulli_poly(test, n)
+            assert [F(c, den) for c in coeffs] == reference_bernoulli_poly(test, n)
 
 
 def test_certify_flat_and_counterexample():
@@ -186,7 +191,8 @@ def test_certify_flat_and_counterexample():
     assert not report.ok
     level, witness = report.witness
     assert level == 1
-    assert bernoulli_poly(twop, 1)(witness) > 1
+    coeffs, den = bernoulli_poly(twop, 1)
+    assert poly_at(coeffs, witness) > den
     assert witness > F(1, 2)
 
 

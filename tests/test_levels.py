@@ -122,7 +122,14 @@ def test_test_kernels_match_the_dict_walks(seed, depth):
     pairs, holds = reference_prob_bound(values, mass, depth)
     verdict = prob_bound_check(test, measure)
     assert verdict.ok == holds
-    assert [r[:2] for r in verdict.rows] == [(f"value={fmt(v)}", fmt(t)) for v, t in pairs]
+    expected = [(f"value={fmt(v)}", fmt(t), fmt(v * t), "pass" if v * t <= 1 else "fail") for v, t in pairs]
+    failing = next((i for i, (v, t) in enumerate(pairs) if v * t > 1), None)
+    if failing is not None:
+        # a threshold N between the previous value and v, above 1/tail: P{T > N} = tail > 1/N
+        v, tail = pairs[failing]
+        n_value = (max(pairs[failing - 1][0] if failing else F(0), 1 / tail) + v) / 2
+        expected.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
+    assert verdict.rows == expected
     if holds:
         converted, average = prob_to_avg_convert(test, measure)
         assert (by_word(converted), average) == reference_convert(values, mass, depth)

@@ -28,7 +28,9 @@ from .measures import (
     CapabilityError,
     DyadicMeasure,
     _index,
+    _maxima,
     _rescaled,
+    _sums,
     all_words,
     fold_up,
     realize,
@@ -251,13 +253,25 @@ def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verd
 
 
 def submask_hull(row: list[V]) -> list[V]:
-    """Monotone hull of a level row: entry i becomes the max over the entries
-    whose index is a submask of i, i.e. over the coordinatewise-smaller words."""
+    """Monotone hull of a level row of 2^n entries: entry i becomes the max
+    over the entries whose index is a submask of i, i.e. over the
+    coordinatewise-smaller words.
+
+    Bit by bit, each entry with the bit set takes the larger of itself and
+    its partner without it (itself on ties).  The entries with bit `step`
+    set form blocks of `step` entries every 2 `step`; below sqrt(len)
+    steps, one strided slice per offset in the block is fewer slices than
+    one contiguous slice per block."""
     hull = list(row)
+    size = len(hull)
     step = 1
-    while step < len(hull):
-        for start in range(step, len(hull), 2 * step):
-            hull[start : start + step] = map(max, hull[start : start + step], hull[start - step : start])
+    while step < size:
+        if step * step < size:
+            for offset in range(step, 2 * step):
+                hull[offset :: 2 * step] = _maxima(hull[offset :: 2 * step], hull[offset - step :: 2 * step])
+        else:
+            for start in range(step, size, 2 * step):
+                hull[start : start + step] = _maxima(hull[start : start + step], hull[start - step : start])
         step *= 2
     return hull
 
@@ -284,7 +298,7 @@ def pushdown_measure(
     moved = [0] * len(row)
     for mass, (_, y) in zip(leaves, best):
         moved[-y] += mass
-    q_star = DyadicMeasure._of_levels(fold_up(moved, operator.add), [den] * (n + 1))
+    q_star = DyadicMeasure._of_levels(fold_up(moved, _sums), [den] * (n + 1))
     lhs = sum(map(operator.mul, moved, row), Fraction(0)) / den
     rhs = sum((mass * hull for mass, (hull, _) in zip(leaves, best)), Fraction(0)) / den
     if not (is_coupled_below(q_star, coin, n).ok and lhs == rhs):

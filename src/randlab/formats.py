@@ -10,9 +10,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exact import _common_denominator, fmt_ratios, parse_rational
+from .exact import fmt_ratios, parse_rational
 from .machines import MonotoneMachine, PrefixMachine
 from .measures import (
     Bernoulli,
@@ -25,7 +25,7 @@ from .measures import (
     prefixes,
     validate_bits,
 )
-from .randtests import ExtendedTest
+from .randtests import ExtendedTest, _by_length, _closure
 
 __all__ = [
     "ParseError",
@@ -163,54 +163,69 @@ def parse_test_file(path: str) -> ExtendedTest:
     """Header `test <depth>`, lines `<prefix> <num>/<den>`; unlisted prefixes
     take the maximum over their listed ancestors.
 
-    Lines are checked in file order.  Each distinct value token is parsed
-    once and scaled once to the lcm of the denominators, and the integer
-    numerators go straight into the table's level rows.
+    One pass over the lines checks each in file order (its token count, its
+    word, a repeated word, its value) and puts its word straight into its
+    level, mapped to the position of its value token: each distinct token
+    is parsed once, and the lines that repeat it share its one value.  The
+    checks that need every line come after the last one, in
+    `randtests._closure`: a word deeper than the header, a negative value,
+    the depth cap.
     """
-    lines = _meaningful_lines(_read(path, "test"))
-    if not lines or lines[0].split()[0] != "test":
+    lines = iter(_read(path, "test").splitlines())
+    header = next((line for line in map(str.strip, lines) if line and line[0] != "#"), "")
+    head = header.split()
+    if not head or head[0] != "test":
         raise ParseError(f"test file {path!r} must start with `test <depth>`")
-    head = lines[0].split()
     if len(head) != 2:
-        raise ParseError(f"bad test header {lines[0]!r} in {path!r}")
+        raise ParseError(f"bad test header {header!r} in {path!r}")
     try:
         depth = int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad test depth in {path!r}") from exc
-    # Lines with the same value token share the position of its one parsed
-    # value, so no line keeps a token or a value of its own alive; once the
-    # lcm is known, each position is replaced in place by its numerator.
+    levels, deeper = _by_length(depth, ())  # empty; the loop fills them
     positions: dict[str, int] = {}
     values: list[Fraction] = []
-    listed: dict[str, int] = {}
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"bad test line {line!r} in {path!r}")
-        word, token = parse_word(tokens[0]), tokens[1]
-        if word in listed:
-            raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
-        position = positions.get(token)
-        if position is None:
+    negative = None
+    for line in lines:
+        try:
+            word, token = line.split()
+        except ValueError:  # a blank line, a comment, or not two tokens
+            tokens = line.split()
+            if tokens and tokens[0][0] != "#":
+                raise ParseError(f"bad test line {line.strip()!r} in {path!r}") from None
+            continue
+        if word.strip("01"):  # a comment, the empty word `-`, or not a word
+            if word[0] == "#":
+                continue
+            word = parse_word(word)
+        try:
+            level = levels[len(word)]
+        except IndexError:
+            level = deeper
+        if word in level:
+            raise ParseError(f"duplicate prefix {format_word(word)!r} in {path!r}")
+        try:
+            position = positions[token]
+        except KeyError:
             position = positions[token] = len(values)
             values.append(parse_rational(token))
-        listed[word] = position
-    nums, den = _common_denominator(values)
-    for word, position in listed.items():
-        listed[word] = nums[position]
+            if values[-1] < 0 and negative is None:
+                negative = word
+        level[word] = position
     try:
-        return ExtendedTest.from_numerators(depth, listed, den)
+        return _closure(depth, levels, deeper, values, negative)
     except CapabilityError:
         raise
     except ValueError as exc:
         raise ParseError(f"bad test file {path!r}: {exc}") from exc
 
 
-def format_values(test: ExtendedTest) -> list[tuple[str, str]]:
-    """(word, `num/den`) for every prefix of a test, in `prefixes` order."""
-    words = list(prefixes(test.depth))
-    words[0] = format_word(words[0])
-    return list(zip(words, chain.from_iterable(map(fmt_ratios, test.nums, test.dens))))
+def format_values(test: ExtendedTest) -> Iterator[tuple[str, str]]:
+    """(word, `num/den`) for every prefix of a test, in `prefixes` order,
+    produced a level at a time."""
+    words = prefixes(test.depth)
+    next(words)  # the empty word, written `-`
+    return zip(chain(["-"], words), chain.from_iterable(map(fmt_ratios, test.nums, test.dens)))
 
 
 def render_test_file(test: ExtendedTest) -> str:

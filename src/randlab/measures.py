@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .exact import _common_denominator
 
@@ -91,10 +91,6 @@ def _capped(depth: int) -> int:
 # Word <-> position helpers.  They stay private: a public name would get a
 # span per word from the benchmark's tracer.
 
-def _words(length: int) -> list[str]:
-    return ["".join(bits) for bits in itertools.product("01", repeat=length)]
-
-
 def _word(i: int, length: int) -> str:
     return format(i, f"0{length}b") if length else ""
 
@@ -112,9 +108,48 @@ def _doubled(row: Sequence[V]) -> list[V]:
     return child
 
 
+def _next_words(words: list[str]) -> list[str]:
+    """The words one bit longer than a level's words, in word order: one
+    concatenation per word."""
+    return list(map(operator.add, _doubled(words), itertools.cycle("01")))
+
+
+def _word_levels(depth: int) -> Iterator[list[str]]:
+    """The words of each length 0..depth (none when depth is negative), each
+    level built from the one above."""
+    words = [""]
+    for length in range(depth + 1):
+        if length:
+            words = _next_words(words)
+        yield words
+
+
+def _words(length: int) -> list[str]:
+    words = [""]
+    for _ in range(length):
+        words = _next_words(words)
+    return words
+
+
 def _rescaled(row: list[int], den: int, target: int) -> list[int]:
     """Numerators of row/den over `target`, a multiple of `den`."""
     return row if den == target else [v * (target // den) for v in row]
+
+
+# Entrywise combinations of two rows of equal length, for `fold_up` and the
+# closures: a comparison per entry instead of a call to `min`/`max`, and on
+# ties the entry of the first row, as `min`/`max` keep their first argument.
+
+def _sums(a: Sequence[V], b: Iterable[V]) -> list[V]:
+    return list(map(operator.add, a, b))
+
+
+def _minima(a: Sequence[V], b: Iterable[V]) -> list[V]:
+    return [y if y < x else x for x, y in zip(a, b)]
+
+
+def _maxima(a: Sequence[V], b: Iterable[V]) -> list[V]:
+    return [y if y > x else x for x, y in zip(a, b)]
 
 
 def all_words(length: int) -> list[str]:
@@ -125,7 +160,7 @@ def all_words(length: int) -> list[str]:
 def prefixes(depth: int) -> Iterator[str]:
     """Every word up to `depth`, shorter first, each length in word order, a
     level at a time; none when `depth` is negative."""
-    return (x for length in range(_capped(depth) + 1 if depth >= 0 else 0) for x in _words(length))
+    return itertools.chain.from_iterable(_word_levels(_capped(depth) if depth >= 0 else -1))
 
 
 def fill_down(depth: int, root: V, step: Callable[[list[V], int], list[V]]) -> list[list[V]]:
@@ -136,16 +171,17 @@ def fill_down(depth: int, root: V, step: Callable[[list[V], int], list[V]]) -> l
     return levels
 
 
-def fold_up(leaves: list[V], combine: Callable[[V, V], V]) -> list[list[V]]:
+def fold_up(leaves: list[V], combine: Callable[[list[V], list[V]], list[V]]) -> list[list[V]]:
     """Levels 0..depth bottom-up from a leaf row of 2^depth entries (kept as the
-    last level): entry i of a level is combine(entry 2i, entry 2i+1) below."""
+    last level): a level is combine(even entries, odd entries) of the one
+    below, an entrywise combination such as `_sums` or `_minima`."""
     size = len(leaves)
     if not size or size & (size - 1):
         raise ValueError(f"a leaf row holds 2^depth entries, got {size}")
     levels = [leaves]
     for _ in range(_capped(size.bit_length() - 1)):
         below = levels[-1]
-        levels.append(list(map(combine, below[0::2], below[1::2])))
+        levels.append(combine(below[0::2], below[1::2]))
     levels.reverse()
     return levels
 
@@ -158,7 +194,7 @@ def _unbalanced_parents(nums: list[list], dens: list[int], fails=operator.ne) ->
         den = lcm(dens[length], dens[length + 1])
         below = nums[length + 1]
         parents = _rescaled(nums[length], dens[length], den)
-        sums = _rescaled(list(map(operator.add, below[0::2], below[1::2])), dens[length + 1], den)
+        sums = _rescaled(_sums(below[0::2], below[1::2]), dens[length + 1], den)
         for i in itertools.compress(range(len(parents)), map(fails, parents, sums)):
             yield length, i, parents[i], sums[i], den
 
@@ -267,7 +303,7 @@ class DyadicMeasure(_PrefixTable):
         scaled, den = _common_denominator(given.values())
         for x, v in zip(given, scaled):
             row[_index(x)] = v
-        measure = cls._of_levels(fold_up(row, operator.add), [den] * (depth + 1))
+        measure = cls._of_levels(fold_up(row, _sums), [den] * (depth + 1))
         err = measure._bounds_error()
         if err is not None:
             raise MeasureError(*err)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exact import (
     INF, Ext, _common_denominator, ceil_log2, div_ratio, floor_log2, fmt, is_inf, is_power_of_two, mul_nonneg
@@ -26,8 +26,11 @@ from .measures import (
     _capped,
     _doubled,
     _index,
+    _maxima,
+    _minima,
     _PrefixTable,
     _rescaled,
+    _sums,
     _unbalanced_parents,
     _word,
     _words,
@@ -83,21 +86,14 @@ class ExtendedTest(_PrefixTable):
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
-        """Monotone closure: unlisted prefixes get the max over listed ancestors."""
-        nums, den = _common_denominator(map(Fraction, listed.values()))
-        return cls.from_numerators(depth, dict(zip(listed, nums)), den)
+        """Monotone closure: unlisted prefixes get the max over listed ancestors.
 
-    @classmethod
-    def from_numerators(cls, depth: int, listed: Mapping[str, int], den: int) -> "ExtendedTest":
-        """`from_partial` of `listed[x] / den`, den > 0, checking words and depths before signs."""
+        Refuses a word that is not binary, then whatever `_closure` refuses."""
         for x in listed:
-            if len(x) > depth or x.strip("01"):
-                validate_bits(x)  # a word that is not binary is named as such first
-                raise ValueError(f"listed prefix {x!r} deeper than {depth}")
-        for x, v in listed.items():
-            if v < 0:
-                raise ValueError(f"negative test value at prefix {x!r}")
-        return cls._of_levels(*_spread(depth, listed, den, max))
+            validate_bits(x)
+        values = list(map(Fraction, listed.values()))
+        negative = next((x for x, v in zip(listed, values) if v < 0), None)
+        return _closure(depth, *_by_length(depth, listed), values, negative)
 
     def value(self, x: str) -> Fraction:
         if len(x) > self.depth or x.strip("01"):
@@ -110,24 +106,65 @@ class ExtendedTest(_PrefixTable):
         return None if bad is None else _word(bad[1], bad[0])
 
 
+def _by_length(depth: int, words: Iterable[str]) -> tuple[list[dict[str, int]], dict[str, int]]:
+    """Words grouped into dicts word -> position in `words`: one dict per
+    length 0..min(depth, MAX_DEPTH), then one for all longer words."""
+    levels: list[dict[str, int]] = [{} for _ in range(min(depth, MAX_DEPTH) + 1)]
+    deeper: dict[str, int] = {}
+    for position, x in enumerate(words):
+        (levels[len(x)] if len(x) < len(levels) else deeper)[x] = position
+    return levels, deeper
+
+
+def _closure(
+    depth: int, levels: list[dict[str, int]], deeper: Mapping[str, int], values: list[Fraction],
+    negative: Optional[str],
+) -> ExtendedTest:
+    """The monotone closure of listed words grouped as by `_by_length`, each
+    mapped to the position of its value in `values`: a listed word holds
+    the max of its value and its parent's, an unlisted one its parent's,
+    and an unlisted root 0.
+
+    Refuses, in this order, the first word of `deeper` longer than `depth`,
+    the word `negative` (listed with a negative value) and a depth past the
+    cap, each with a ValueError (the cap with a CapabilityError)."""
+    too_deep = next((x for x in deeper if len(x) > depth), None)
+    if too_deep is not None:
+        raise ValueError(f"listed prefix {too_deep!r} deeper than {depth}")
+    if negative is not None:
+        raise ValueError(f"negative test value at prefix {negative!r}")
+    _capped(depth)
+    nums, den = _common_denominator(values)
+    return ExtendedTest._of_levels(*_spread(levels, nums, den, _maxima))
+
+
 def _spread(
-    depth: int, listed: Mapping[str, int], den: int, combine: Callable[[int, int], int]
+    levels: list[dict[str, int]],
+    nums: list[int],
+    den: int,
+    combine: Callable[[list[int], Iterable[int]], list[int]],
 ) -> tuple[list[list[int]], list[int]]:
-    """Levels down to `depth` over `den`: the root holds its listed
-    numerator (else 0), and every other prefix combines what its parent
-    holds with its own listed numerator."""
-    by_level: list[list[tuple[int, int]]] = [[] for _ in range(_capped(depth) + 1)]
-    for x, v in listed.items():
-        by_level[len(x)].append((_index(x), v))
+    """Rows for the levels of `_by_length`, each word mapped to the position
+    of its numerator in `nums`, all over `den`: the root holds its listed
+    numerator (else 0), and every other prefix what its parent holds,
+    combined by the entrywise `combine` with its own listed numerator.
+
+    A level that lists every word is one `combine` of the doubled parent
+    row with the listed row in word order; a partial level combines entry
+    by entry."""
 
     def step(parent: list[int], length: int) -> list[int]:
         child = _doubled(parent)
-        for i, v in by_level[length]:
-            child[i] = combine(child[i], v)
+        listed = levels[length]
+        if len(listed) == len(child):
+            return combine(child, map(nums.__getitem__, map(listed.__getitem__, sorted(listed))))
+        for x, position in listed.items():
+            i = _index(x)
+            child[i : i + 1] = combine(child[i : i + 1], (nums[position],))
         return child
 
-    root = by_level[0][0][1] if by_level[0] else 0
-    return fill_down(depth, root, step), [den] * (depth + 1)
+    root = nums[levels[0][""]] if levels[0] else 0
+    return fill_down(len(levels) - 1, root, step), [den] * len(levels)
 
 
 def _non_monotone_children(nums: list[list[int]], dens: list[int]) -> Iterator[tuple[int, int]]:
@@ -230,7 +267,8 @@ def from_weights(
     if budget > 1:
         raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
     nums, den = _common_denominator(map(Fraction, weights.values()))
-    return ExtendedTest._of_levels(*_spread(depth, dict(zip(weights, nums)), den, operator.add))
+    levels, _ = _by_length(_capped(depth), weights)
+    return ExtendedTest._of_levels(*_spread(levels, nums, den, _sums))
 
 
 def sum_test_values(
@@ -332,10 +370,8 @@ def deficiency_profile(
     depth = measure.depth
     leaves = [v for v, _ in sums[depth]]
     den = measure.dens[depth]
-    tbar = fold_up(leaves, min)
-    integral = fold_up(
-        [mul_nonneg(Fraction(p, den), v) for p, v in zip(measure.nums[depth], leaves)], operator.add
-    )
+    tbar = fold_up(leaves, _minima)
+    integral = fold_up([mul_nonneg(Fraction(p, den), v) for p, v in zip(measure.nums[depth], leaves)], _sums)
 
     mono_cache: dict[str, Fraction] = {}
     if monotone is not None:
@@ -467,7 +503,8 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     On failure the witness is (N, P{T > N}) for a rational N strictly
     between the previous value and v with P{T > N} > 1/N; no leaf value lies
     in that gap, so P{T > N} is the tail at v.  One row per positive value,
-    then, on failure, a `witness-N=` row with P{T > N} and 1/N.
+    then, on failure, a `witness-N=` row with P{T > N} and 1/N; one `all`
+    row when no leaf value is positive.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
@@ -497,7 +534,7 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     if witness is not None:
         n_value, tail = witness
         rows.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
-    return Verdict(ok=witness is None, rows=rows, witness=witness)
+    return Verdict(ok=witness is None, rows=rows or [("all", "-", "-", "pass")], witness=witness)
 
 
 def _sum_inverse_squares_bound(terms: int = 50) -> Fraction:
@@ -550,7 +587,7 @@ def prob_to_avg_convert(
     nums, den = _common_denominator(damped.values())
     scaled = dict(zip(damped, nums))
     leaves = list(map(scaled.__getitem__, test.nums[-1]))
-    converted = ExtendedTest._of_levels(fold_up(leaves, min), [den] * (test.depth + 1))
+    converted = ExtendedTest._of_levels(fold_up(leaves, _minima), [den] * (test.depth + 1))
     average = Fraction(_dot(measure.nums[test.depth], leaves), measure.dens[test.depth] * den)
     if average > CONVERT_AVG_BOUND:
         raise AssertionError(

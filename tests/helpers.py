@@ -12,7 +12,8 @@ from math import comb
 
 from randlab.bernoulli import hypergeom_prefix_prob
 from randlab.coupling import is_coupled_below, pushdown_measure
-from randlab.exact import INF, fmt, mul_nonneg
+from randlab.exact import INF, fmt, mul_nonneg, parse_rational
+from randlab.formats import ParseError
 from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.measures import (
     Bernoulli,
@@ -222,6 +223,39 @@ def reference_from_partial(depth: int, listed: dict[str, Fraction]) -> dict[str,
         if x:
             values[x] = max(listed.get(x, Fraction(0)), values[x[:-1]])
     return values
+
+
+def reference_parse_test_file(path: str) -> dict[str, Fraction]:
+    """A test file's values, word by word, read the plain way.
+
+    Each line is checked in file order: two tokens, a binary word (`-` is
+    the empty word), a word not listed before, a rational value.  Then come
+    the first word deeper than the header and the first negative value.
+    The errors and their messages are those of `parse_test_file`; the header
+    is taken to be well formed.
+    """
+    with open(path, encoding="ascii") as handle:
+        lines = [line.strip() for line in handle.read().splitlines()]
+    header, *body = [line for line in lines if line and not line.startswith("#")]
+    depth = int(header.split()[1])
+    listed: dict[str, Fraction] = {}
+    for line in body:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"bad test line {line!r} in {path!r}")
+        word = "" if tokens[0] == "-" else tokens[0]
+        if word.strip("01"):
+            raise ParseError(f"not a binary word: {word!r}")
+        if word in listed:
+            raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
+        listed[word] = parse_rational(tokens[1])
+    for x in listed:
+        if len(x) > depth:
+            raise ParseError(f"bad test file {path!r}: listed prefix {x!r} deeper than {depth}")
+    for x, v in listed.items():
+        if v < 0:
+            raise ParseError(f"bad test file {path!r}: negative test value at prefix {x!r}")
+    return reference_from_partial(depth, listed)
 
 
 def reference_level_averages(values, mass, depth: int) -> list[Fraction]:

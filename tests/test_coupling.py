@@ -109,6 +109,22 @@ def test_monotonize_idempotent_and_dominating(raw):
                 assert hull[i] <= hull[j]
 
 
+def brute_force_hull(row: list) -> list:
+    """Entry i is the max over the entries whose index is a submask of i."""
+    return [max(v for j, v in enumerate(row) if j & i == j) for i in range(len(row))]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hull_matches_submask_maxima(n):
+    # lengths 1..256 cross the switch from strided slices to contiguous blocks
+    rng = random.Random(n)
+    for _ in range(3):
+        row = [rng.randint(0, 3) for _ in range(2 ** n)]  # ties everywhere
+        assert submask_hull(row) == brute_force_hull(row)
+        pairs = [(v, -y) for y, v in enumerate(row)]  # the pushdown's smallest maximizers
+        assert submask_hull(pairs) == brute_force_hull(pairs)
+
+
 def test_pushdown_monotone_input_is_identity():
     t = {"0": F(1), "1": F(2)}
     q_star, integral = pushdown_measure(t, F(1, 3), 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import by_word, random_prefix_machine, reference_from_partial
+from helpers import by_word, random_prefix_machine, reference_from_partial, reference_parse_test_file
 import randlab.cli
 import randlab.coupling
 from randlab import demo
@@ -23,7 +23,7 @@ from randlab.formats import (
 )
 from randlab.machines import MonotoneMachine, PrefixMachine, discrete_semimeasure, kp_of
 from randlab.bernoulli import MAX_URN_N
-from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, realize
+from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, all_words, realize
 from randlab.neutral import MAX_KUHN_CHAINS
 from randlab.separator import MAX_TAIL_DIGITS, MAX_TAIL_N
 from randlab.exact import fmt, parse_rational
@@ -393,6 +393,54 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
     assert by_word(test) == reference_from_partial(depth, values)
 
 
+# Whole test files against the plain line-by-line reading: full and partial
+# levels, lines in any order, comments and blank lines, `-` for the root,
+# value tokens repeated and equal values written two ways; then the same
+# file with one bad line put in, which must fail with the same message.
+
+VALUE_TOKENS = ("0", "1", "1/2", "2/4", "3", "7/3", "0/5", "12/7")
+SEPARATORS = (" ", "  ", "\t")
+FILLER = ("# note", "", "   ", "#two tokens", "  # a comment of four")
+FAULTS = ("0 1 2", "2 1", "0x 1/2", "01 1//2", "1 1/0", "0 -1/3", "- -2", "1 x")
+
+
+@st.composite
+def listed_lines(draw):
+    depth = draw(st.integers(0, 5))
+    full = draw(st.sets(st.integers(0, depth)))
+    words = [x for n in range(depth + 1) for x in all_words(n) if n in full or draw(st.booleans())]
+    lines = [f"{x or '-'}{draw(st.sampled_from(SEPARATORS))}{draw(st.sampled_from(VALUE_TOKENS))}"
+             for x in draw(st.permutations(words))]
+    for filler in draw(st.lists(st.sampled_from(FILLER), max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    fault = draw(st.one_of(
+        st.sampled_from(FAULTS),
+        st.just("0" * (depth + 1) + " 1"),  # deeper than the header
+        st.sampled_from(words or [""]).map(lambda x: f"{x or '-'} 5"),  # a repeated word
+    ))
+    return depth, lines, fault, draw(st.integers(0, len(lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(listed_lines())
+def test_parse_test_file_matches_the_line_by_line_reading(tmp_path_factory, case):
+    depth, lines, fault, at = case
+    folder = tmp_path_factory.mktemp("oracle")
+    path = write(folder, "t.test", "\n".join([f"test {depth}", *lines]) + "\n")
+    test = parse_test_file(path)
+    assert by_word(test) == reference_parse_test_file(path)
+    assert test.dens == [test.dens[0]] * (depth + 1)
+    path = write(folder, "bad.test", "\n".join([f"test {depth}", *lines[:at], fault, *lines[at:]]) + "\n")
+    try:
+        expected = reference_parse_test_file(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_test_file(path)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        assert by_word(parse_test_file(path)) == expected
+
+
 @pytest.mark.parametrize(
     "content, code, message",
     [
@@ -418,6 +466,16 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
         ("test -1\n- 1\n", 2, "error: bad test file {path}: listed prefix '' deeper than -1"),
         ("test 2\n0 1 2\n", 2, "error: bad test line '0 1 2' in {path}"),
         ("# only a comment\n", 2, "error: test file {path} must start with `test <depth>`"),
+        ("test 2\n000 1/2\n- 1/0\n", 2, "error: bad rational literal '1/0'"),
+        ("test 1\n00 1\n- -1\n", 2, "error: bad test file {path}: listed prefix '00' deeper than 1"),
+        ("test 1\n- -1\n00 1\n", 2, "error: bad test file {path}: listed prefix '00' deeper than 1"),
+        ("test 2\n11 1\n00 0\n10 1/2\n01 1/4\n", 0, ""),
+        ("test 17\n" + "0" * 17 + " -1\n", 2,
+         "error: bad test file {path}: negative test value at prefix '" + "0" * 17 + "'"),
+        ("test 17\n" + "0" * 17 + " 1\n" + "0" * 17 + " 2\n", 2,
+         "error: duplicate prefix '" + "0" * 17 + "' in {path}"),
+        ("test 1\n- 1\n- 2\n", 2, "error: duplicate prefix '-' in {path}"),
+        ("test 2\n1 -1/2\n0 -1\n", 2, "error: bad test file {path}: negative test value at prefix '1'"),
     ],
     ids=[
         "bad-word", "bad-rational", "zero-denominator", "negative-denominator-at-root",
@@ -426,6 +484,10 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
         "first-bad-line-wins", "negative-value", "header-without-depth", "header-with-two-depths",
         "not-a-test", "bad-depth", "test-17", "deeper-than-17", "negative-depth",
         "listed-below-negative-depth", "three-tokens", "comment-only",
+        "deeper-line-before-bad-rational", "deeper-line-before-negative-value",
+        "negative-value-before-deeper-line", "full-level-out-of-order",
+        "negative-value-past-the-cap", "duplicate-past-the-cap", "duplicate-root",
+        "first-of-two-negative-values",
     ],
 )
 def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code, message):

@@ -129,7 +129,7 @@ def test_test_kernels_match_the_dict_walks(seed, depth):
         v, tail = pairs[failing]
         n_value = (max(pairs[failing - 1][0] if failing else F(0), 1 / tail) + v) / 2
         expected.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
-    assert verdict.rows == expected
+    assert verdict.rows == (expected or [("all", "-", "-", "pass")])  # no positive leaf value
     if holds:
         converted, average = prob_to_avg_convert(test, measure)
         assert (by_word(converted), average) == reference_convert(values, mass, depth)

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction as F
@@ -212,11 +213,18 @@ def test_walks_meet_their_definitions(depth, data):
     assert down == [all_words(n) for n in range(depth + 1)]
     assert handed == [(n, all_words(n - 1)) for n in range(1, depth + 1)]
     leaves = [data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(2 ** depth)]
-    up = fold_up(leaves, operator.add)
+    up = fold_up(leaves, lambda evens, odds: list(map(operator.add, evens, odds)))
     assert [len(level) for level in up] == [2 ** n for n in range(depth + 1)]
     for n in range(depth + 1):
         for i, x in enumerate(all_words(n)):
             assert up[n][i] == sum(v for y, v in zip(all_words(depth), leaves) if y.startswith(x))
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_words_match_the_product_order(depth):
+    levels = [["".join(bits) for bits in itertools.product("01", repeat=n)] for n in range(depth + 1)]
+    assert list(prefixes(depth)) == [x for level in levels for x in level]
+    assert all_words(depth) == levels[-1]
 
 
 def test_walks_refuse_past_the_depth_cap():

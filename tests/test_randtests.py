@@ -11,6 +11,7 @@ from helpers import (
     random_monotone_test,
     random_prefix_machine,
 )
+from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
 from randlab.machines import PrefixMachine, canonical_machine, discrete_semimeasure
 from randlab.measures import Bernoulli, all_words, point_mass, realize
@@ -177,6 +178,17 @@ def test_prob_bound_examples():
     assert not report2.ok
     n_witness, tail = report2.witness
     assert tail > 1 / n_witness  # the witness certifies the violation
+
+
+def test_prob_bound_without_positive_values_reports_one_row(tmp_path, capsys):
+    # no positive leaf value: the bound holds at every N, in one `all` row
+    for T in (ExtendedTest.from_partial(2, {}), ExtendedTest.from_partial(2, {"0": F(0)})):
+        report = prob_bound_check(T, UNIFORM2)
+        assert (report.ok, report.rows, report.witness) == (True, [("all", "-", "-", "pass")], None)
+    (tmp_path / "t.test").write_text("test 2\n")
+    (tmp_path / "u.measure").write_text("bernoulli 1/2\n")
+    assert main(["prob-check", str(tmp_path / "t.test"), "--measure", str(tmp_path / "u.measure")]) == 0
+    assert capsys.readouterr() == ("prefix\tvalue\tbound\tverdict\nall\t-\t-\tpass\n", "")
 
 
 def test_average_bounded_implies_prob_bounded():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_tail_certified_grid():
             report = chebyshev_tail_check(n, p)
             assert report.ok, (n, p)
             assert tail_mass(report) ** 5 * n < 1
+
+
+def per_term_tail_mass(n: int, p: F) -> F:
+    """The tail mass summed term by term: C(n, c) p^c (1-p)^(n-c) over every
+    count c with |c - n p| > n^(3/5)."""
+    deviating = [c for c in range(n + 1) if abs(c - n * p) ** 5 > n ** 3]
+    return sum((comb(n, c) * p ** c * (1 - p) ** (n - c) for c in deviating), F(0))
+
+
+@pytest.mark.parametrize("p", [F(0), F(1), F(1, 2), F(1, 97), F(500, 997)])
+def test_tail_mass_matches_the_per_term_sum(p):
+    for n in range(1, 201):
+        assert tail_mass(chebyshev_tail_check(n, p)) == per_term_tail_mass(n, p), n
 
 
 def test_deviation_comparison_matches_fifth_powers():

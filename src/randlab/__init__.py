@@ -26,7 +26,6 @@ from .machines import (
     PrefixMachine,
     canonical_machine,
     canonical_monotone_machine,
-    discrete_semimeasure,
     kp_of,
     monotone_output_prob,
     semimeasure_total,

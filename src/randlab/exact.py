@@ -17,6 +17,7 @@ class _Infinity:
     Arithmetic follows the conventions inf + r = inf and r * inf = inf for
     r > 0.  The product 0 * inf is deliberately not defined on the operator:
     use :func:`mul_nonneg`, which applies the measure-theoretic 0 * inf = 0.
+    Equality and hashing are those of the one instance.
     """
 
     _instance = None
@@ -28,12 +29,6 @@ class _Infinity:
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("randlab-inf")
 
     def __lt__(self, other) -> bool:
         return False
@@ -53,8 +48,6 @@ class _Infinity:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if other is self:
-            return self
         if other > 0:
             return self
         raise ArithmeticError("0 * inf is undefined; use mul_nonneg")
@@ -132,14 +125,6 @@ def fmt_ratios(row: Sequence[int], den: int) -> list[str]:
     """`fmt_ratio` of every numerator in a row over one `den`, each distinct numerator once."""
     text = {v: fmt_ratio(v, den) for v in set(row)}
     return list(map(text.__getitem__, row))
-
-
-def is_power_of_two(f: Fraction) -> bool:
-    """True when f equals 2**k for some (possibly negative) integer k."""
-    if f <= 0:
-        return False
-    n, d = f.numerator, f.denominator
-    return (n == 1 or (n & (n - 1)) == 0) and (d == 1 or (d & (d - 1)) == 0) and (n == 1 or d == 1)
 
 
 def floor_log2(f: Fraction) -> int:

@@ -21,7 +21,6 @@ __all__ = [
     "PrefixMachine",
     "MonotoneMachine",
     "kp_of",
-    "discrete_semimeasure",
     "semimeasure_total",
     "monotone_output_prob",
     "canonical_machine",
@@ -119,15 +118,6 @@ def kp_of(machine: PrefixMachine, x: str):
     if not lengths:
         return INF
     return min(lengths)
-
-
-def discrete_semimeasure(machine: PrefixMachine, x: str) -> Fraction:
-    """Sum of 2^-|p| over programs p producing exactly x."""
-    validate_bits(x)
-    return sum(
-        (Fraction(1, 2 ** len(p)) for p, out in machine.entries.items() if out == x),
-        Fraction(0),
-    )
 
 
 def semimeasure_table(machine: PrefixMachine) -> dict[str, Fraction]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
-from .exact import Ext, INF, _common_denominator, div_ratio
+from .exact import Ext, _common_denominator, div_ratio
 from .machines import PrefixMachine
 from .measures import CapabilityError, validate_bits
 
@@ -225,16 +225,6 @@ def sperner_search(
 
     def to_mixture(point: tuple[int, ...]) -> PointMixture:
         return PointMixture(tuple(Fraction(c, m) for c in point))
-
-    if k == 1:
-        point = (m,)
-        idx, value = label_of(point)
-        return SpernerCell(
-            vertices=(to_mixture(point),),
-            labels=(idx,),
-            values=(value,),
-            diameter=Fraction(0),
-        )
 
     labels: dict[tuple[int, ...], tuple[int, Fraction]] = {}
     everyone = set(range(k))

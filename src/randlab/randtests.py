@@ -16,9 +16,7 @@ from itertools import chain, compress
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .exact import (
-    INF, Ext, _common_denominator, ceil_log2, div_ratio, floor_log2, fmt, is_inf, is_power_of_two, mul_nonneg
-)
+from .exact import INF, Ext, _common_denominator, ceil_log2, div_ratio, fmt, is_inf, mul_nonneg
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
 from .measures import (
     MAX_DEPTH,
@@ -256,11 +254,14 @@ def validate_extended_test(
 def from_weights(
     weights: Mapping[str, Fraction], measure: DyadicMeasure, depth: int
 ) -> ExtendedTest:
-    """T(x) = sum of weights over prefixes of x; needs budget sum(P*w) <= 1."""
-    for x in weights:
+    """T(x) = sum of weights over prefixes of x; needs nonnegative weights and
+    budget sum(P*w) <= 1."""
+    for x, w in weights.items():
         validate_bits(x)
         if len(x) > depth:
             raise ValueError(f"weight on prefix {x!r} deeper than {depth}")
+        if w < 0:
+            raise ValueError(f"negative weight at prefix {x!r}")
     budget = sum(
         (measure.mass(x) * Fraction(w) for x, w in weights.items()), Fraction(0)
     )
@@ -301,13 +302,6 @@ def _running_sums(machine: PrefixMachine, measure: DyadicMeasure) -> list[list[t
         ]
 
     return fill_down(measure.depth, ratios(0)[0], step)
-
-
-def div_ratio_ext(num: Ext, den: Fraction) -> tuple[Ext, bool]:
-    """div_ratio extended to an infinite numerator."""
-    if is_inf(num):
-        return INF, False
-    return div_ratio(num, den)
 
 
 @dataclass
@@ -371,14 +365,9 @@ def deficiency_profile(
     leaves = [v for v, _ in sums[depth]]
     den = measure.dens[depth]
     tbar = fold_up(leaves, _minima)
+    # finite: a leaf with mass has finite running sum, and mul_nonneg zeroes the rest
     integral = fold_up([mul_nonneg(Fraction(p, den), v) for p, v in zip(measure.nums[depth], leaves)], _sums)
-
-    mono_cache: dict[str, Fraction] = {}
-    if monotone is not None:
-        horizon = monotone.max_program_length()
-        for length in range(len(x) + 1):
-            t = x[:length]
-            mono_cache[t] = monotone_output_prob(monotone, t, horizon)
+    horizon = monotone.max_program_length() if monotone is not None else 0
 
     rows = []
     running_sup: Ext = Fraction(0)
@@ -388,10 +377,10 @@ def deficiency_profile(
         ratio, _ = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
         running_sup = max(running_sup, ratio)
         i = _index(t)
-        that, _ = div_ratio_ext(integral[length][i], measure.mass(t))
+        that, _ = div_ratio(integral[length][i], measure.mass(t))
         mono_ratio: Optional[Ext] = None
         if monotone is not None:
-            mono_ratio, _ = div_ratio(mono_cache[t], measure.mass(t))
+            mono_ratio, _ = div_ratio(monotone_output_prob(monotone, t, horizon), measure.mass(t))
         running_sum, flagged = sums[length][i]
         if running_sup > running_sum:
             raise AssertionError("running sup exceeded running sum")
@@ -425,11 +414,11 @@ def _cylinder(row: list[int], x: str, depth: int) -> list[int]:
     return row[start : start + (1 << tail)]
 
 
-def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> Ext:
+def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> Fraction:
     """Average of the leaf values over the cylinder at x, weighted by the measure.
 
-    Infinite when the cylinder carries no mass but the leaf integral is
-    positive; the 0/0 case is defined as 0.
+    Never infinite: a cylinder without mass has only massless leaves, so its
+    integral is 0 too, and the 0/0 case is defined as 0.
     """
     validate_bits(x)
     if not len(x) <= test.depth <= measure.depth:
@@ -551,19 +540,16 @@ def convert_value(t: Fraction) -> Fraction:
     """The damping t -> t/log^2 t, guarded below 4 and certified above.
 
     Below 4 the value is t/4 (meeting t/log2(t)^2 = 1 at the seam t = 4).
-    At powers of two the base-2 log is exact; elsewhere the log is rounded
-    up to the next integer, which lowers the result, keeping every asserted
-    average a certified upper bound.
+    Above it the base-2 log is rounded up to an integer (exact at powers of
+    two), which lowers the result, keeping every asserted average a
+    certified upper bound.
     """
     t = Fraction(t)
     if t < 0:
         raise ValueError("test values are nonnegative")
     if t < 4:
         return t / 4
-    if is_power_of_two(t):
-        log = floor_log2(t)
-    else:
-        log = ceil_log2(t)
+    log = ceil_log2(t)
     return t / (log * log)
 
 

@@ -8,7 +8,7 @@ the fifth power, turning them into integer comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -122,31 +122,25 @@ SEPARATOR_NORMALIZER: Fraction = _normalizer_bound()
 
 @dataclass
 class KRecord:
+    """The one-count of the length-2^k block and whether it deviates."""
+
     k: int
-    block_length: int
     count: int
     violated: bool
 
 
 @dataclass
 class SeparatorReport:
-    p: Fraction
-    records: list[KRecord] = field(default_factory=list)
-    g_value: int = 0
-    scaled_value: Fraction = Fraction(0)
-    normalizer: Fraction = SEPARATOR_NORMALIZER
+    records: list[KRecord]
+    g_value: int
+    scaled_value: Fraction
 
     def tsv_rows(self):
         rows = [
-            (
-                str(r.k),
-                str(r.block_length),
-                str(r.count),
-                "violated" if r.violated else "ok",
-            )
+            (str(r.k), str(2 ** r.k), str(r.count), "violated" if r.violated else "ok")
             for r in self.records
         ]
-        rows.append(("g", str(self.g_value), fmt(self.scaled_value), fmt(self.normalizer)))
+        rows.append(("g", str(self.g_value), fmt(self.scaled_value), fmt(SEPARATOR_NORMALIZER)))
         return rows
 
 
@@ -169,16 +163,11 @@ def separator_value(omega: str, p: Fraction) -> SeparatorReport:
         block = 2 ** k
         count = omega[:block].count("1")
         violated = deviation_exceeds(count, block, p)
-        records.append(KRecord(k=k, block_length=block, count=count, violated=violated))
+        records.append(KRecord(k=k, count=count, violated=violated))
         if violated:
             g = k
         k += 1
-    return SeparatorReport(
-        p=p,
-        records=records,
-        g_value=g,
-        scaled_value=Fraction(g) / SEPARATOR_NORMALIZER,
-    )
+    return SeparatorReport(records=records, g_value=g, scaled_value=Fraction(g) / SEPARATOR_NORMALIZER)
 
 
 @dataclass

@@ -120,6 +120,11 @@ def reference_upcrossings(omega: str, x: str, alpha: Fraction, beta: Fraction) -
     return count
 
 
+def reference_output_mass(machine: PrefixMachine, x: str) -> Fraction:
+    """Discrete semimeasure m(x): the sum of 2^-|p| over the programs p producing exactly x."""
+    return sum((Fraction(1, 2 ** len(p)) for p, out in machine.entries.items() if out == x), Fraction(0))
+
+
 def reference_monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Fraction:
     """Output probability by running every input of length `horizon`."""
     hits = sum(1 for p in all_words(horizon) if machine.output(p).startswith(x))

@@ -35,7 +35,6 @@ from randlab.neutral import mixture_deficiency, sperner_search
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     deficiency_profile,
-    div_ratio_ext,
     martingale_check,
     prob_bound_check,
     prob_to_avg_convert,
@@ -108,7 +107,7 @@ def test_criterion_03_deficiency_chain():
             for t in all_words(length):
                 integral[t] = integral[t + "0"] + integral[t + "1"]
         that = {
-            t: div_ratio_ext(integral[t], measure.mass(t))[0]
+            t: div_ratio(integral[t], measure.mass(t))[0]
             for length in range(depth + 1)
             for t in all_words(length)
         }

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import by_word, random_prefix_machine, reference_from_partial, reference_parse_test_file
+from helpers import (
+    by_word,
+    random_prefix_machine,
+    reference_from_partial,
+    reference_output_mass,
+    reference_parse_test_file,
+)
 import randlab.cli
 import randlab.coupling
 from randlab import demo
@@ -21,7 +27,7 @@ from randlab.formats import (
     render_test_file,
     render_tsv,
 )
-from randlab.machines import MonotoneMachine, PrefixMachine, discrete_semimeasure, kp_of
+from randlab.machines import MonotoneMachine, PrefixMachine, kp_of
 from randlab.bernoulli import MAX_URN_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, all_words, realize
 from randlab.neutral import MAX_KUHN_CHAINS
@@ -293,7 +299,7 @@ def test_cli_machine_info_rows_match_the_per_word_reference(tmp_path, capsys):
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
         outputs = sorted(set(machine.entries.values()), key=lambda w: (len(w), w))
         assert rows[:-1] == [
-            [w or "-", fmt(discrete_semimeasure(machine, w)), fmt(kp_of(machine, w)), "output"]
+            [w or "-", fmt(reference_output_mass(machine, w)), fmt(kp_of(machine, w)), "output"]
             for w in outputs
         ]
         assert rows[-1][0] == "total"
@@ -303,6 +309,23 @@ def test_cli_separator_certify(tmp_path, capsys):
     assert run_cli("separator", "8", "1/2", "--certify") == 0
     out = capsys.readouterr().out
     assert "1/128" in out
+
+
+def test_cli_separator_class_test_appends_the_composite_row(tmp_path, capsys):
+    # the composite scores the sequence cut to the class test's depth: at
+    # "111" no block deviates, so only the class value 2 speaks
+    ones = write(tmp_path, "ones.seq", "1" * 8)
+    class_test = write(tmp_path, "c.test", "test 3\n111 2\n")
+    assert run_cli("separator", ones, "1/2", "--class-test", class_test) == 0
+    assert capsys.readouterr().out == (
+        "k\tblock\tcount\tverdict\n"
+        "0\t1\t1\tok\n"
+        "1\t2\t2\tok\n"
+        "2\t4\t4\tok\n"
+        "3\t8\t8\tviolated\n"
+        "g\t3\t49923/871000\t871000/16641\n"
+        "composite\t2/1\t0/1\t2/1\n"
+    )
 
 
 def test_cli_neutral_writes_report(tmp_path):
@@ -515,6 +538,9 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["deficiency", "s.seq", "--measure", "u.measure", "--machine", "m.machine", "--machine", "m.machine"],
          "deficiency takes at most one prefix and one monotone machine"),
         (["neutral", "s.seq", "s.seq", "--depth", "-1", "--resolution", "4"], "depth must be nonnegative"),
+        (["separator", "x", "1/2", "--certify"], "--certify expects an integer block length"),
+        (["validate-measure", "t2.measure", "--depth", "2"], "table line prefix '0' is not at depth 2"),
+        (["machine-info", "dup.machine"], "duplicate program '0' in 'dup.machine'"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -524,6 +550,8 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
     write(tmp_path, "u.measure", "bernoulli 1/2\n")
     write(tmp_path, "p.machine", "0 1\n10 11\n")
     write(tmp_path, "m.machine", "monotone\n- -\n0 0\n")
+    write(tmp_path, "t2.measure", "table 2\n00 1/2\n0 1/2\n")
+    write(tmp_path, "dup.machine", "0 1\n0 1\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")

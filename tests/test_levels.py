@@ -181,6 +181,24 @@ def test_words_are_checked_before_they_become_indices(word):
 
 
 @pytest.mark.parametrize(
+    "table, values, message",
+    [
+        (DyadicMeasure, {"": F(1), "0": F(1, 2)}, "missing mass for prefix '1'"),
+        (DyadicMeasure, {"": F(1), "0": F(3, 2), "1": F(-1, 2)}, "mass out of [0,1] at prefix '0'"),
+        (ExtendedTest, {"": F(1), "1": F(1)}, "test value missing for prefix '0'"),
+        (ExtendedTest, {"": F(1), "0": F(1), "1": F(-1)}, "negative test value at prefix '1'"),
+    ],
+    ids=["measure-missing", "measure-out-of-range", "test-missing", "test-negative"],
+)
+def test_tables_refuse_a_missing_or_out_of_range_value(table, values, message):
+    with pytest.raises(ValueError) as err:
+        table(1, values)
+    assert str(err.value) == message
+    if table is DyadicMeasure:
+        assert isinstance(err.value, MeasureError) and message.endswith(repr(err.value.prefix))
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda d: DyadicMeasure(d, {}),

@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_monotone_machine, random_prefix_machine, reference_monotone_output_prob
+from helpers import (
+    random_monotone_machine,
+    random_prefix_machine,
+    reference_monotone_output_prob,
+    reference_output_mass,
+)
 from randlab.exact import INF
 from randlab.machines import (
     MachineError,
@@ -12,7 +17,6 @@ from randlab.machines import (
     PrefixMachine,
     canonical_machine,
     canonical_monotone_machine,
-    discrete_semimeasure,
     kp_of,
     monotone_output_prob,
     semimeasure_total,
@@ -30,10 +34,10 @@ def test_kp_table_readoff():
 
 def test_discrete_semimeasure_examples():
     m = tiny_machine()
-    assert discrete_semimeasure(m, "0") == F(1, 4)
+    assert m.output_mass()["0"] == F(1, 4)
     two = PrefixMachine({"0": "1", "10": "1"})
-    assert discrete_semimeasure(two, "1") == F(3, 4)
-    assert discrete_semimeasure(m, "0110") == 0
+    assert two.output_mass()["1"] == F(3, 4)
+    assert "0110" not in m.output_mass()  # a word no program outputs has mass 0
 
 
 def test_semimeasure_total_examples():
@@ -61,7 +65,7 @@ def test_mass_dominates_shortest_program():
         machine = random_prefix_machine(rng)
         for output in set(machine.entries.values()):
             kp = kp_of(machine, output)
-            assert discrete_semimeasure(machine, output) >= F(1, 2 ** kp)
+            assert machine.output_mass()[output] >= F(1, 2 ** kp)
 
 
 def test_canonical_machine_shape():
@@ -70,7 +74,7 @@ def test_canonical_machine_shape():
     for length in range(7):
         for x in all_words(length):
             assert kp_of(m, x) == 2 * length + 1
-            assert discrete_semimeasure(m, x) == F(1, 2 ** (2 * length + 1))
+            assert reference_output_mass(m, x) == F(1, 2 ** (2 * length + 1))
 
 
 def test_monotone_output_prob_examples():

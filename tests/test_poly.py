@@ -69,6 +69,8 @@ def test_nonneg_decisions():
     assert not ok2 and poly_at([-1, 4, -4], witness2) < 0
     # zeros at both endpoints, positive inside
     assert nonneg_on_unit_interval([0, 1, -1]) == (True, None)
+    # zeros at both endpoints and no root between: the midpoint sample decides
+    assert nonneg_on_unit_interval([0, -1, 1]) == (False, F(1, 2))
 
 
 def test_nonneg_negative_dip_between_positive_endpoints():

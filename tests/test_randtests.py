@@ -13,7 +13,7 @@ from helpers import (
 )
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
-from randlab.machines import PrefixMachine, canonical_machine, discrete_semimeasure
+from randlab.machines import PrefixMachine, canonical_machine
 from randlab.measures import Bernoulli, all_words, point_mass, realize
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
@@ -50,6 +50,16 @@ def test_validate_constant_two_fails_at_root():
     assert "level 0" in report.witness
 
 
+def test_validate_reports_a_non_monotone_child_and_names_it():
+    # a test file is max-closed, so only a table built in the library gets here
+    T = ExtendedTest(2, {"": F(1), "0": F(0), "1": F(1), "00": F(0), "01": F(0), "10": F(1), "11": F(1)})
+    report = validate_extended_test(T, UNIFORM2)
+    assert not report.ok
+    assert report.rows[0] == ("0", "0/1", "1/1", "non-monotone")
+    assert [row[3] for row in report.rows[1:]] == ["pass", "pass", "pass"]
+    assert report.witness == "monotonicity fails at '0'"
+
+
 def test_validate_antichain_generalization():
     T = from_weights({"1": F(2)}, UNIFORM2, 2)
     report = validate_extended_test(T, UNIFORM2, antichain=["0", "10", "11"])
@@ -72,6 +82,18 @@ def test_from_weights_budget_error_reports_sum():
     with pytest.raises(ValueError) as err:
         from_weights({"": F(3)}, UNIFORM2, 2)
     assert "3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "weights, prefix",
+    [({"": F(1), "0": F(-1)}, "0"), ({"0": F(3), "1": F(-1)}, "1")],
+    ids=["within-budget", "exact-budget"],
+)
+def test_from_weights_refuses_a_negative_weight(weights, prefix):
+    # both budgets are at most 1; the first used to build a non-monotone table
+    with pytest.raises(ValueError) as err:
+        from_weights(weights, UNIFORM2, 2)
+    assert str(err.value) == f"negative weight at prefix {prefix!r}"
 
 
 def test_from_weights_always_validates():
@@ -270,7 +292,8 @@ def test_deficiency_profile_canonical_sum():
     machine = canonical_machine()
     uni = realize(Bernoulli(F(1, 2)), 1)
     profile = deficiency_profile(machine, None, uni, "0")
-    expected = discrete_semimeasure(machine, "") + discrete_semimeasure(machine, "0") / F(1, 2)
+    mass = machine.output_mass()
+    expected = mass[""] + mass["0"] / F(1, 2)
     assert profile.rows[-1].running_sum == expected
 
 

@@ -12,8 +12,6 @@ from .measures import (
     DyadicMeasure,
     MeasureError,
     Mixture,
-    Table,
-    bernoulli_mass,
     block_frequency,
     count_upcrossings,
     point_mass,
@@ -26,7 +24,6 @@ from .machines import (
     PrefixMachine,
     canonical_machine,
     canonical_monotone_machine,
-    kp_of,
     monotone_output_prob,
     semimeasure_total,
     tiny_machine,
@@ -47,7 +44,6 @@ from .bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
     extend_by_monotonicity,
-    hypergeom_prefix_prob,
     replacement_domination_check,
     validate_combinatorial_test,
 )

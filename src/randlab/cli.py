@@ -237,7 +237,7 @@ def _machine_info(args):
         return ("program", "output", "kp", "verdict"), rows, True
     total = semimeasure_total(machine)
     mass = machine.output_mass()
-    shortest: dict[str, int] = {}  # `kp_of` of every output, in one pass
+    shortest: dict[str, int] = {}  # shortest program length per output, in one pass
     for program, output in machine.entries.items():
         shortest[output] = min(len(program), shortest.get(output, len(program)))
     rows = [

@@ -21,7 +21,6 @@ from .measures import (
     MeasureError,
     MeasureSpec,
     Mixture,
-    Table,
     prefixes,
     validate_bits,
 )
@@ -110,7 +109,7 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
                         f"table line prefix {word_token!r} is not at depth {depth}"
                     )
                 leaves[word] = parse_rational(value_token)
-            return Table(DyadicMeasure.from_leaves(depth, leaves))
+            return DyadicMeasure.from_leaves(depth, leaves)
         if head[0] == "mix" and len(head) == 1:
             weights = []
             parts = []

@@ -1,26 +1,23 @@
 """Finite prefix-free and monotone machines, and the masses they induce.
 
-A prefix machine is a finite program table; the shortest-program length and
-the 2^-|p| output mass are read off exactly.  A monotone machine is a finite
-consistent relation between programs and outputs; feeding it fair coin flips
-induces an output mass on prefixes.  All results are relative to the supplied
-table: no universality is attempted.
+A prefix machine is a finite program table; its 2^-|p| output mass is read
+off exactly.  A monotone machine is a finite consistent relation between
+programs and outputs; feeding it fair coin flips induces an output mass on
+prefixes.  All results are relative to the supplied table: no universality
+is attempted.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exact import INF
 from .measures import prefixes, validate_bits
 
 __all__ = [
     "MachineError",
     "PrefixMachine",
     "MonotoneMachine",
-    "kp_of",
     "semimeasure_total",
     "monotone_output_prob",
     "canonical_machine",
@@ -85,7 +82,8 @@ class MonotoneMachine:
         for i, (p, out) in enumerate(pairs):
             # The later pairs whose program is comparable to p are those
             # extending p, and in sorted order they directly follow pair i.
-            for q, out2 in itertools.islice(pairs, i + 1, None):
+            for j in range(i + 1, len(pairs)):
+                q, out2 = pairs[j]
                 if not q.startswith(p):
                     break
                 if not (out.startswith(out2) or out2.startswith(out)):
@@ -99,25 +97,8 @@ class MonotoneMachine:
     def max_program_length(self) -> int:
         return max((len(p) for p, _ in self.entries), default=0)
 
-    def output(self, program: str) -> str:
-        """sup of outputs over table entries whose program prefixes `program`."""
-        best = ""
-        for p, out in self.entries:
-            if program.startswith(p) and len(out) > len(best):
-                best = out
-        return best
-
     def __repr__(self) -> str:
         return f"MonotoneMachine({len(self.entries)} entries)"
-
-
-def kp_of(machine: PrefixMachine, x: str):
-    """Length of a shortest program producing exactly x; INF if none."""
-    validate_bits(x)
-    lengths = [len(p) for p, out in machine.entries.items() if out == x]
-    if not lengths:
-        return INF
-    return min(lengths)
 
 
 def semimeasure_table(machine: PrefixMachine) -> dict[str, Fraction]:

@@ -42,10 +42,8 @@ __all__ = [
     "fold_up",
     "DyadicMeasure",
     "Bernoulli",
-    "Table",
     "Mixture",
     "MeasureSpec",
-    "bernoulli_mass",
     "realize",
     "point_mass",
     "block_frequency",
@@ -231,14 +229,6 @@ class _PrefixTable:
         """The value at a binary word no deeper than the table."""
         return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
 
-    def level(self, length: int) -> Iterator[tuple[str, Fraction]]:
-        """(word, value) pairs at one level, in lexicographic order."""
-        if not 0 <= length <= self.depth:
-            raise ValueError("level out of range")
-        den = self.dens[length]
-        for x, v in zip(_words(length), self.nums[length]):
-            yield x, Fraction(v, den)
-
     def truncated(self, depth: int):
         if depth > self.depth:
             raise ValueError("cannot deepen a table by truncation")
@@ -339,11 +329,6 @@ class Bernoulli:
 
 
 @dataclass(frozen=True)
-class Table:
-    measure: DyadicMeasure
-
-
-@dataclass(frozen=True)
 class Mixture:
     """Convex combination of component specs; weights are positive, sum 1."""
 
@@ -361,25 +346,15 @@ class Mixture:
             raise ValueError("mixture weights must sum to 1 exactly")
 
 
-MeasureSpec = Union[Bernoulli, Table, Mixture]
-
-
-def bernoulli_mass(p: Fraction, x: str) -> Fraction:
-    """p^(#ones in x) * (1-p)^(#zeros in x), exactly."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"Bernoulli parameter {p} outside [0,1]")
-    validate_bits(x)
-    ones = x.count("1")
-    return p ** ones * (1 - p) ** (len(x) - ones)
+MeasureSpec = Union[Bernoulli, DyadicMeasure, Mixture]
 
 
 def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
     """Expand a spec into its depth-truncated mass table.
 
     Bernoulli(a/b) has numerators (b-a)^zeros a^ones over b^k at level k; a
-    mixture puts each level over the lcm of (weight denominator x part
-    denominator).
+    table is cut at `depth`; a mixture puts each level over the lcm of
+    (weight denominator x part denominator).
     """
     if isinstance(spec, Bernoulli):
         a, b = spec.p.numerator, spec.p.denominator
@@ -391,12 +366,10 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
             return child
 
         return DyadicMeasure._of_levels(fill_down(depth, 1, step), [b ** k for k in range(depth + 1)])
-    if isinstance(spec, Table):
-        if depth > spec.measure.depth:
-            raise ValueError(
-                f"table of depth {spec.measure.depth} cannot realize depth {depth}"
-            )
-        return spec.measure.truncated(depth)
+    if isinstance(spec, DyadicMeasure):
+        if depth > spec.depth:
+            raise ValueError(f"table of depth {spec.depth} cannot realize depth {depth}")
+        return spec.truncated(depth)
     if isinstance(spec, Mixture):
         parts = [realize(part, depth) for part in spec.parts]
         nums, dens = [], []
@@ -498,5 +471,5 @@ def shipped_measure_specs() -> dict[str, MeasureSpec]:
             (Fraction(1, 3), Fraction(2, 3)),
             (Bernoulli(Fraction(1, 4)), Bernoulli(Fraction(3, 4))),
         ),
-        "exchangeable-table": Table(exchangeable),
+        "exchangeable-table": exchangeable,
     }

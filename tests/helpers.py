@@ -10,21 +10,19 @@ import random
 from fractions import Fraction
 from math import comb
 
-from randlab.bernoulli import hypergeom_prefix_prob
 from randlab.coupling import is_coupled_below, pushdown_measure
-from randlab.exact import INF, fmt, mul_nonneg, parse_rational
+from randlab.exact import INF, div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import ParseError
 from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.measures import (
     Bernoulli,
     DyadicMeasure,
     Mixture,
-    Table,
     all_words,
-    bernoulli_mass,
     block_frequency,
     prefixes,
     realize,
+    validate_bits,
 )
 from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
 from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
@@ -125,10 +123,80 @@ def reference_output_mass(machine: PrefixMachine, x: str) -> Fraction:
     return sum((Fraction(1, 2 ** len(p)) for p, out in machine.entries.items() if out == x), Fraction(0))
 
 
+def kp_of(machine: PrefixMachine, x: str):
+    """Length of a shortest program producing exactly x; INF if none: the
+    per-word definition of the `kp` column of `machine-info`."""
+    validate_bits(x)
+    lengths = [len(p) for p, out in machine.entries.items() if out == x]
+    if not lengths:
+        return INF
+    return min(lengths)
+
+
+def monotone_output(machine: MonotoneMachine, program: str) -> str:
+    """sup of outputs over table entries whose program prefixes `program`."""
+    best = ""
+    for p, out in machine.entries:
+        if program.startswith(p) and len(out) > len(best):
+            best = out
+    return best
+
+
 def reference_monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Fraction:
     """Output probability by running every input of length `horizon`."""
-    hits = sum(1 for p in all_words(horizon) if machine.output(p).startswith(x))
+    hits = sum(1 for p in all_words(horizon) if monotone_output(machine, p).startswith(x))
     return Fraction(hits, 2 ** horizon)
+
+
+def sum_test_values(machine: PrefixMachine, measure: DyadicMeasure) -> tuple[dict, dict[str, bool]]:
+    """Running sums of m(t)/P(t) on every prefix up to the measure depth,
+    word by word: (values, flags), where `flags[x]` marks a 0/0 ratio
+    somewhere on the path to x (the ratio is taken as 0 by convention)."""
+    mass = machine.output_mass()
+    values, flags = {}, {}
+    for x in prefixes(measure.depth):
+        ratio, flagged = div_ratio(mass.get(x, Fraction(0)), measure.mass(x))
+        values[x] = values[x[:-1]] + ratio if x else ratio
+        flags[x] = flagged or (x != "" and flags[x[:-1]])
+    return values, flags
+
+
+def bernoulli_mass(p: Fraction, x: str) -> Fraction:
+    """p^(#ones in x) * (1-p)^(#zeros in x), exactly."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"Bernoulli parameter {p} outside [0,1]")
+    validate_bits(x)
+    ones = x.count("1")
+    return p ** ones * (1 - p) ** (len(x) - ones)
+
+
+def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
+    """Probability that draws without replacement from an N-ball urn
+    (K of them marked 1) produce exactly the word x, one draw at a time.
+
+    Impossible draws yield 0 rather than an error.
+    """
+    validate_bits(x)
+    if not 0 <= K <= N:
+        raise ValueError(f"need 0 <= K <= N, got K={K}, N={N}")
+    if len(x) > N:
+        raise ValueError(f"word longer than the urn: {len(x)} > {N}")
+    ones_left, zeros_left = K, N - K
+    prob = Fraction(1)
+    for i, bit in enumerate(x):
+        remaining = N - i
+        if bit == "1":
+            if ones_left == 0:
+                return Fraction(0)
+            prob *= Fraction(ones_left, remaining)
+            ones_left -= 1
+        else:
+            if zeros_left == 0:
+                return Fraction(0)
+            prob *= Fraction(zeros_left, remaining)
+            zeros_left -= 1
+    return prob
 
 
 def reference_urn_check(n: int) -> Verdict:
@@ -177,9 +245,17 @@ def class_average(f: dict[str, Fraction], n: int, k: int) -> Fraction:
 # stored tables as integer rows.
 
 
+def level(table, length: int) -> list[tuple[str, Fraction]]:
+    """(word, value) pairs of a measure or test table at one level, in word order."""
+    if not 0 <= length <= table.depth:
+        raise ValueError("level out of range")
+    den = table.dens[length]
+    return [(x, Fraction(v, den)) for x, v in zip(all_words(length), table.nums[length])]
+
+
 def by_word(table) -> dict[str, Fraction]:
     """Every prefix's value of a measure or test table, read level by level."""
-    return {x: v for length in range(table.depth + 1) for x, v in table.level(length)}
+    return {x: v for length in range(table.depth + 1) for x, v in level(table, length)}
 
 
 def reference_realize(spec, depth: int) -> dict[str, Fraction]:
@@ -190,8 +266,8 @@ def reference_realize(spec, depth: int) -> dict[str, Fraction]:
             mass[x + "0"] = mass[x] * (1 - spec.p)
             mass[x + "1"] = mass[x] * spec.p
         return mass
-    if isinstance(spec, Table):
-        return {x: spec.measure.mass(x) for x in prefixes(depth)}
+    if isinstance(spec, DyadicMeasure):
+        return {x: spec.mass(x) for x in prefixes(depth)}
     parts = [reference_realize(part, depth) for part in spec.parts]
     return {
         x: sum((w * part[x] for w, part in zip(spec.weights, parts)), Fraction(0))
@@ -389,7 +465,7 @@ def random_spec(rng: random.Random, depth: int, nesting: int = 2):
         b = rng.choice(COPRIME_DENOMINATORS)
         return Bernoulli(Fraction(rng.randint(0, b), b))
     if kind == "table":
-        return Table(random_dyadic_measure(rng, depth))
+        return random_dyadic_measure(rng, depth)
     dens = rng.sample(COPRIME_DENOMINATORS[1:], rng.randint(1, 2))
     weights = [Fraction(rng.randint(1, (d - 1) // 2), d) for d in dens]  # each below 1/2
     weights.append(1 - sum(weights))

@@ -13,12 +13,15 @@ from pathlib import Path
 
 from helpers import (
     check_pushdown,
+    level,
+    monotone_output,
     poly_at,
     random_dyadic_measure,
     random_monotone_machine,
     random_monotone_test,
     random_prefix_machine,
     random_word,
+    sum_test_values,
 )
 from randlab.bernoulli import (
     certify_bernoulli_test,
@@ -30,7 +33,7 @@ from randlab.coupling import is_coupled_below, leq_words, monotone_criterion_che
 from randlab.exact import div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import parse_measure_spec_file
 from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total, tiny_machine
-from randlab.measures import DyadicMeasure, Table, all_words, realize, shipped_measure_specs
+from randlab.measures import DyadicMeasure, all_words, realize, shipped_measure_specs
 from randlab.neutral import mixture_deficiency, sperner_search
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
@@ -38,7 +41,6 @@ from randlab.randtests import (
     martingale_check,
     prob_bound_check,
     prob_to_avg_convert,
-    sum_test_values,
     validate_extended_test,
 )
 from randlab.separator import chebyshev_tail_check
@@ -58,11 +60,11 @@ def report(name: str, limit: float, started: float) -> None:
 def test_criterion_01_measure_consistency():
     started = time.perf_counter()
     for name, spec in sorted(shipped_measure_specs().items()):
-        depth = min(10, spec.measure.depth) if isinstance(spec, Table) else 10
+        depth = min(10, spec.depth) if isinstance(spec, DyadicMeasure) else 10
         measure = realize(spec, depth)
         assert measure.check() is None, name
         for length in range(depth + 1):
-            assert sum((v for _, v in measure.level(length)), F(0)) == 1
+            assert sum((v for _, v in level(measure, length)), F(0)) == 1
     report("criterion 1: measure consistency", 1.0, started)
 
 
@@ -78,7 +80,7 @@ def monotone_mass_table(machine, depth):
     table = {}
     share = F(1, 2 ** horizon)
     for program in all_words(horizon):
-        output = machine.output(program)
+        output = monotone_output(machine, program)
         for length in range(min(len(output), depth) + 1):
             t = output[:length]
             table[t] = table.get(t, F(0)) + share

@@ -6,8 +6,10 @@ from math import comb
 import pytest
 
 from helpers import (
+    bernoulli_mass,
     by_word,
     class_average,
+    hypergeom_prefix_prob,
     poly_at,
     random_listed,
     reference_bernoulli_poly,
@@ -18,12 +20,11 @@ from randlab.bernoulli import (
     bernoulli_poly,
     certify_bernoulli_test,
     extend_by_monotonicity,
-    hypergeom_prefix_prob,
     replacement_domination_check,
     validate_combinatorial_test,
 )
 from randlab.exact import fmt
-from randlab.measures import all_words, bernoulli_mass, prefixes
+from randlab.measures import all_words, prefixes
 from randlab.randtests import ExtendedTest
 
 SEED_GRID = [F(0), F(1, 2), F(1), F(2)]
@@ -141,7 +142,7 @@ def test_urn_domination(n, factor):
     assert F(max_ratio) <= factor
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_urn_check_scores_one_word_per_class_like_every_word(n):
     # the row carries n, the factor, the largest ratio and its (K, word)
     assert replacement_domination_check(n) == reference_urn_check(n)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_pushdown, random_dyadic_measure, reference_pushdown
+from helpers import check_pushdown, level, random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
     CapabilityError,
     enumerate_upper_sets,
@@ -178,7 +178,7 @@ def test_sparsity_examples():
     uni = realize(Bernoulli(F(1, 2)), 2)
     T = from_weights({"1": F(2)}, uni, 2)
     assert sparsity_value(T, "11") == T.value("11")
-    assert sparsity_value(T, "00") == min(v for _, v in T.level(2))
+    assert sparsity_value(T, "00") == min(v for _, v in level(T, 2))
     assert sparsity_value(T, "0") == 0
     assert sparsity_value(T, "1") == 2
 

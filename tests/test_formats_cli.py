@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     by_word,
+    kp_of,
     random_prefix_machine,
     reference_from_partial,
     reference_output_mass,
@@ -27,9 +28,9 @@ from randlab.formats import (
     render_test_file,
     render_tsv,
 )
-from randlab.machines import MonotoneMachine, PrefixMachine, kp_of
+from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.bernoulli import MAX_URN_N
-from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, Mixture, Table, all_words, realize
+from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, DyadicMeasure, Mixture, all_words, realize
 from randlab.neutral import MAX_KUHN_CHAINS
 from randlab.separator import MAX_TAIL_DIGITS, MAX_TAIL_N
 from randlab.exact import fmt, parse_rational
@@ -51,8 +52,8 @@ def test_parse_bernoulli_spec(tmp_path):
 def test_parse_table_spec_derives_interior(tmp_path):
     path = write(tmp_path, "t.measure", "table 1\n0 1/4\n1 3/4\n")
     spec = parse_measure_spec_file(path)
-    assert isinstance(spec, Table)
-    assert spec.measure.mass("") == 1 and spec.measure.mass("0") == F(1, 4)
+    assert isinstance(spec, DyadicMeasure)
+    assert spec.mass("") == 1 and spec.mass("0") == F(1, 4)
 
 
 def test_parse_mix_spec_resolves_relative_paths(tmp_path):

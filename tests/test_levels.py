@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     by_word,
+    level,
     random_dyadic_measure,
     random_listed,
     random_spec,
@@ -96,7 +97,7 @@ def test_measures_and_tests_read_a_mapping_into_the_same_table(seed, depth):
     measure, test = DyadicMeasure(depth, mass), ExtendedTest(depth, mass)
     assert (measure.nums, measure.dens) == (test.nums, test.dens)
     for k in range(depth + 1):
-        assert list(test.level(k)) == list(measure.level(k)) == [(x, mass[x]) for x in all_words(k)]
+        assert level(test, k) == level(measure, k) == [(x, mass[x]) for x in all_words(k)]
         shallow = {x: v for x, v in mass.items() if len(x) <= k}
         assert by_word(test.truncated(k)) == by_word(ExtendedTest(k, shallow))
         assert measure.truncated(k) == DyadicMeasure(k, shallow)

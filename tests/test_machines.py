@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    kp_of,
     random_monotone_machine,
     random_prefix_machine,
     reference_monotone_output_prob,
@@ -17,7 +18,6 @@ from randlab.machines import (
     PrefixMachine,
     canonical_machine,
     canonical_monotone_machine,
-    kp_of,
     monotone_output_prob,
     semimeasure_total,
     tiny_machine,
@@ -96,6 +96,17 @@ def test_monotone_inconsistency_names_pair():
     with pytest.raises(MachineError) as err:
         MonotoneMachine([("0", "0"), ("01", "10")])
     assert err.value.pair == ("0", "01")
+
+
+def test_monotone_inconsistency_deep_in_a_large_table_names_pair():
+    # 2^12 entries: the copy machine on every program up to length 11, and one
+    # length-12 program whose output leaves its own path at the third bit
+    deep = "011010010110"
+    entries = [*canonical_monotone_machine(11).entries, (deep, "010" + deep[3:])]
+    assert len(entries) == 2 ** 12
+    with pytest.raises(MachineError) as err:
+        MonotoneMachine(entries)
+    assert err.value.pair == ("011", deep)
 
 
 def test_monotone_machines_yield_continuous_semimeasures():

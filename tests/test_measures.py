@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import reference_upcrossings
+from helpers import bernoulli_mass, level, reference_upcrossings
 from randlab.measures import (
     MAX_DEPTH,
     Bernoulli,
@@ -14,9 +14,7 @@ from randlab.measures import (
     DyadicMeasure,
     MeasureError,
     Mixture,
-    Table,
     all_words,
-    bernoulli_mass,
     block_frequency,
     count_upcrossings,
     fill_down,
@@ -157,10 +155,10 @@ def test_upcrossings_match_block_frequency_reference(omega, x, den, lo, width):
 
 @pytest.mark.parametrize("name,spec", sorted(shipped_measure_specs().items()))
 def test_shipped_specs_level_sums(name, spec):
-    depth = 6 if not isinstance(spec, Table) else spec.measure.depth
+    depth = 6 if not isinstance(spec, DyadicMeasure) else spec.depth
     m = realize(spec, depth)
     for length in range(depth + 1):
-        assert sum((v for _, v in m.level(length)), F(0)) == 1
+        assert sum((v for _, v in level(m, length)), F(0)) == 1
 
 
 def test_mixture_realization_is_linear():
@@ -182,9 +180,7 @@ def test_mixture_weights_must_sum_to_one():
 
 
 def test_table_cannot_realize_beyond_its_depth():
-    table = Table(
-        DyadicMeasure.from_leaves(1, {"0": F(1, 2), "1": F(1, 2)})
-    )
+    table = DyadicMeasure.from_leaves(1, {"0": F(1, 2), "1": F(1, 2)})
     assert realize(table, 1).mass("0") == F(1, 2)
     with pytest.raises(ValueError):
         realize(table, 2)

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     by_word,
+    level,
     random_dyadic_measure,
     random_monotone_machine,
     random_monotone_test,
     random_prefix_machine,
+    sum_test_values,
 )
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
@@ -26,7 +28,6 @@ from randlab.randtests import (
     min_extension,
     prob_bound_check,
     prob_to_avg_convert,
-    sum_test_values,
     validate_extended_test,
 )
 
@@ -207,8 +208,8 @@ def test_prob_bound_without_positive_values_reports_one_row(tmp_path, capsys):
     for T in (ExtendedTest.from_partial(2, {}), ExtendedTest.from_partial(2, {"0": F(0)})):
         report = prob_bound_check(T, UNIFORM2)
         assert (report.ok, report.rows, report.witness) == (True, [("all", "-", "-", "pass")], None)
-    (tmp_path / "t.test").write_text("test 2\n")
-    (tmp_path / "u.measure").write_text("bernoulli 1/2\n")
+    (tmp_path / "t.test").write_text("test 2\n", encoding="ascii")
+    (tmp_path / "u.measure").write_text("bernoulli 1/2\n", encoding="ascii")
     assert main(["prob-check", str(tmp_path / "t.test"), "--measure", str(tmp_path / "u.measure")]) == 0
     assert capsys.readouterr() == ("prefix\tvalue\tbound\tverdict\nall\t-\t-\tpass\n", "")
 
@@ -246,7 +247,7 @@ def test_floor_and_ceil_log2_meet_their_definitions(f):
 def test_convert_flat_test():
     T = ExtendedTest.from_partial(2, {"": F(1)})
     converted, average = prob_to_avg_convert(T, UNIFORM2)
-    assert all(v == F(1, 4) for _, v in converted.level(converted.depth))
+    assert all(v == F(1, 4) for _, v in level(converted, converted.depth))
     assert average == F(1, 4) <= CONVERT_AVG_BOUND
 
 

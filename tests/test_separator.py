@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from helpers import level
 from randlab.measures import (
     Bernoulli,
     Mixture,
@@ -174,7 +175,7 @@ def test_upcrossing_expectation_bound_for_stationary_tables(spec):
     measure = realize(spec, depth)
     for alpha, beta in [(F(1, 4), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 2), F(9, 10))]:
         expectation = F(0)
-        for omega, mass in measure.level(depth):
+        for omega, mass in level(measure, depth):
             if mass == 0:
                 continue
             expectation += mass * count_upcrossings(omega, "1", alpha, beta)

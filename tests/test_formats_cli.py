@@ -1,5 +1,6 @@
 import math
 import random
+import shutil
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -558,8 +559,34 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
     assert (out, err) == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["neutral", "--help"]])
-def test_help_exits_0(capsys, argv):
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        pytest.param(argv, columns, id=f"argv{i}" + (f"-COLUMNS={columns}" if columns else ""))
+        for columns in (None, "40", "200")
+        for i, argv in enumerate((["--help"], ["neutral", "--help"]))
+    ],
+)
+def test_help_exits_0(capsys, monkeypatch, argv, columns):
+    # help wraps at a fixed width, so the terminal's width never changes its bytes
+    monkeypatch.delenv("COLUMNS", raising=False)
     assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: randlab") and err == ""
+    if columns is not None:
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+def test_cli_never_asks_the_terminal_for_its_size(capsys, monkeypatch):
+    def refuse():
+        raise RuntimeError("terminal size queried")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    assert main(["urn-check", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("n\tfactor\t") and err == ""
+    assert main(["--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: randlab") and err == ""

@@ -140,16 +140,17 @@ def _kuhn_cells(base: tuple[int, ...], moves: list[tuple[int, ...]]) -> Iterator
 
 def _labeller(
     sequences: Sequence[str], machine: PrefixMachine, depth: int, m: int
-) -> Callable[[tuple[int, ...]], tuple[int, Fraction]]:
-    """The Sperner label of a grid point (counts c summing to m) and its value:
-    the smallest supported i with `mixture_deficiency` at most 1.
+) -> Callable[[tuple[int, ...]], tuple[int, int, int]]:
+    """The Sperner label of a grid point (counts c summing to m) and its value,
+    as integers `(label, num, den)`: the smallest supported i with
+    `mixture_deficiency` num/den at most 1.
 
     Every prefix x of sequence i with machine mass lies in the cylinders of
     the sequences sharing x, a set S that always holds i.  Grouping the
     masses by S, the deficiency at c is (m / D) * sum_S a_S / c(S) with
     integers a_S over one denominator D and c(S) = sum of c_j over S, which
-    is positive when c_i is; so `<= 1` is one integer comparison, and a
-    `Fraction` is built only for the label's value.
+    is positive when c_i is; so `<= 1` is one integer comparison, and the
+    caller builds a `Fraction` only for the values it reports.
     """
     mass = machine.output_mass()
     heads = [omega[:depth] for omega in sequences]
@@ -165,7 +166,7 @@ def _labeller(
         nums, den = _common_denominator(groups.values())
         terms.append((den, list(zip(groups, nums))))
 
-    def label_of(point: tuple[int, ...]) -> tuple[int, Fraction]:
+    def label_of(point: tuple[int, ...]) -> tuple[int, int, int]:
         for i, (den, groups) in enumerate(terms):
             if not point[i]:
                 continue
@@ -174,7 +175,7 @@ def _labeller(
                 total = sum(map(point.__getitem__, sharing))
                 num, div = num * total + a * div, div * total
             if m * num <= den * div:
-                return i, Fraction(m * num, den * div)
+                return i, m * num, den * div
         raise NeutralInvariantError(
             f"no admissible label at grid point {point}: "
             "machine output mass exceeds 1"
@@ -226,7 +227,7 @@ def sperner_search(
     def to_mixture(point: tuple[int, ...]) -> PointMixture:
         return PointMixture(tuple(Fraction(c, m) for c in point))
 
-    labels: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+    labels: dict[tuple[int, ...], tuple[int, int, int]] = {}
     everyone = set(range(k))
     moves = list(itertools.permutations(range(k - 1)))
     diameter_bound = Fraction(2 * (k - 1), m)
@@ -237,11 +238,11 @@ def sperner_search(
                 if v not in labels:
                     labels[v] = label_of(v)
                 seen.append(labels[v])
-            if {idx for idx, _ in seen} == everyone:
+            if {idx for idx, _, _ in seen} == everyone:
                 return SpernerCell(
                     vertices=tuple(to_mixture(v) for v in chain),
-                    labels=tuple(idx for idx, _ in seen),
-                    values=tuple(value for _, value in seen),
+                    labels=tuple(idx for idx, _, _ in seen),
+                    values=tuple(Fraction(num, den) for _, num, den in seen),
                     diameter=diameter_bound,
                 )
     raise NeutralInvariantError(

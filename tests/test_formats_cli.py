@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 import shutil
@@ -18,7 +19,7 @@ from helpers import (
 import randlab.cli
 import randlab.coupling
 from randlab import demo
-from randlab.cli import main
+from randlab.cli import SUBCOMMANDS, main
 from randlab.formats import (
     MAX_MIX_NESTING,
     ParseError,
@@ -543,6 +544,7 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["separator", "x", "1/2", "--certify"], "--certify expects an integer block length"),
         (["validate-measure", "t2.measure", "--depth", "2"], "table line prefix '0' is not at depth 2"),
         (["machine-info", "dup.machine"], "duplicate program '0' in 'dup.machine'"),
+        (["neutral", "s.seq", "s.seq", "--machine", "m.machine"], "neutral search needs a prefix machine"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -590,3 +592,44 @@ def test_cli_never_asks_the_terminal_for_its_size(capsys, monkeypatch):
     assert main(["--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: randlab") and err == ""
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_every_subcommand_help_lists_its_arguments(capsys, name):
+    # each subcommand parser adds its arguments when it parses; its help must still list them all
+    assert main([name, "--help"]) == 0
+    out, err = capsys.readouterr()
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    names = {spec if isinstance(spec, str) else spec[0] for spec in SUBCOMMANDS[name][1]}
+    assert out.startswith(f"usage: randlab {name} ") and err == ""
+    assert names | {"--out"} <= listed
+
+
+def test_one_parser_serves_many_requests_and_builds_only_their_arguments(tmp_path, monkeypatch):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    test = write(tmp_path, "t.test", "test 1\n0 1\n1 1\n")
+    measure = write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    argv = ["validate-test", test, "--measure", measure]
+    shells = len(SUBCOMMANDS) + 1  # one `-h` per parser
+
+    def own(name):  # the specs of one subcommand, and `--out`
+        return len(SUBCOMMANDS[name][1]) + 1
+
+    assert main(argv) == 0
+    assert len(calls) == shells + own("validate-test") == 25
+
+    calls.clear()
+    parser = randlab.cli.build_parser()
+    for depth in ("1", "2"):
+        args = parser.parse_args([*argv, "--depth", depth])
+        assert (args.test, args.measure, args.depth, args.out) == (test, measure, int(depth), None)
+    args = parser.parse_args(["urn-check", "4", "--out", "r.tsv"])
+    assert (args.n, args.out, args.run) == (4, "r.tsv", randlab.cli._urn_check)
+    assert len(calls) == shells + own("validate-test") + own("urn-check")

@@ -232,4 +232,5 @@ def test_label_is_the_least_supported_index_scoring_at_most_1(case):
         mix = PointMixture(tuple(F(c, m) for c in point))
         values = {i: mixture_deficiency(mix, sequences, i, machine, depth) for i in mix.support()}
         first = min(i for i, v in values.items() if not is_inf(v) and v <= 1)
-        assert label_of(point) == (first, values[first])
+        label, num, den = label_of(point)
+        assert (label, F(num, den)) == (first, values[first])

@@ -48,7 +48,7 @@ from .machines import (
     canonical_machine,
     semimeasure_total,
 )
-from .measures import CapabilityError, MeasureError, _words, count_upcrossings, realize
+from .measures import CapabilityError, MeasureError, all_words, count_upcrossings, realize
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -165,6 +165,7 @@ def _coupling(args):
 
 
 def _monotone_criterion(args):
+    cp.enumerate_upper_sets(args.depth)  # refuses n > 4 before a table is built; the check reuses it
     verdict = cp.monotone_criterion_check(*_lower_upper(args), args.depth)
     return UPPER_SET, verdict.rows, verdict.ok
 
@@ -172,7 +173,7 @@ def _monotone_criterion(args):
 def _monotonize(args):
     test = parse_test_file(args.test)
     hull, den = cp.submask_hull(test.nums[-1]), test.dens[-1]
-    words = map(format_word, _words(test.depth))
+    words = map(format_word, all_words(test.depth))
     return ("word", "value"), list(zip(words, fmt_ratios(hull, den))), True
 
 

@@ -16,9 +16,11 @@ live here too, since they are functions of words and masses only.
 
 Every whole-tree walk of the package is one of three here: `fill_down`
 builds each level from the one above it, `fold_up` each level from the one
-below it, and a table read from a word -> value mapping walks `prefixes`.
-All of them refuse a depth above `MAX_DEPTH` with a
-:class:`CapabilityError` before they build a single level.
+below it, and a table read from a word -> value mapping reads it a level of
+words at a time, refusing there only a missing word; the table's other
+axioms are checked on its rows.  All of them refuse a depth above
+`MAX_DEPTH` with a :class:`CapabilityError` before they build a single
+level.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .exact import _common_denominator
 
@@ -122,13 +124,6 @@ def _word_levels(depth: int) -> Iterator[list[str]]:
         yield words
 
 
-def _words(length: int) -> list[str]:
-    words = [""]
-    for _ in range(length):
-        words = _next_words(words)
-    return words
-
-
 def _rescaled(row: list[int], den: int, target: int) -> list[int]:
     """Numerators of row/den over `target`, a multiple of `den`."""
     return row if den == target else [v * (target // den) for v in row]
@@ -152,7 +147,10 @@ def _maxima(a: Sequence[V], b: Iterable[V]) -> list[V]:
 
 def all_words(length: int) -> list[str]:
     """All binary words of the given length, in lexicographic order."""
-    return _words(_capped(length))
+    words = [""]
+    for _ in range(_capped(length)):
+        words = _next_words(words)
+    return words
 
 
 def prefixes(depth: int) -> Iterator[str]:
@@ -204,17 +202,17 @@ class _PrefixTable:
 
     __slots__ = ("depth", "nums", "dens")
 
-    def _fill(self, depth: int, values: Mapping[str, Fraction]) -> None:
+    def _fill(self, depth: int, values: Mapping[str, Fraction], missing: Callable[[str], ValueError]) -> None:
         """Hold values[x] at every prefix x, each level over its lcm, reading
-        the prefixes in order and passing each value (None where x is
-        unlisted) through the subclass's `_refuse`, which raises for a value
-        the table does not take."""
-        levels: list[list[Fraction]] = [[] for _ in range(_capped(depth) + 1)]
-        for x in prefixes(depth):
-            v = Fraction(values[x]) if x in values else None
-            self._refuse(x, v)
-            levels[len(x)].append(v)
-        rows = list(map(_common_denominator, levels))
+        the mapping a level of words at a time; the first prefix it does not
+        list is refused with missing(prefix).  The subclass checks the rows
+        for the values it does not take."""
+        rows = []
+        for words in _word_levels(_capped(depth)):
+            absent = next((x for x in words if x not in values), None)
+            if absent is not None:
+                raise missing(absent)
+            rows.append(_common_denominator(Fraction(values[x]) for x in words))
         self.depth = depth
         self.nums, self.dens = [nums for nums, _ in rows], [den for _, den in rows]
 
@@ -241,25 +239,18 @@ class _PrefixTable:
 class DyadicMeasure(_PrefixTable):
     """Rational masses on all prefixes up to `depth`, Kolmogorov-consistent.
 
-    Construction from a prefix -> mass mapping validates the three axioms
-    (mass("") = 1, additivity, masses in [0, 1]) and raises
-    :class:`MeasureError` naming the first offending prefix.
+    Construction from a prefix -> mass mapping raises :class:`MeasureError`
+    naming the first offending prefix, checking in this order: a missing
+    prefix, then masses in [0, 1] and mass("") = 1, then additivity.
     """
 
     __slots__ = ()
 
     def __init__(self, depth: int, mass: Mapping[str, Fraction]):
-        self._fill(depth, mass)
+        self._fill(depth, mass, lambda x: MeasureError(f"missing mass for prefix {x!r}", x))
         err = self.check()
         if err is not None:
             raise MeasureError(*err)
-
-    @staticmethod
-    def _refuse(x: str, v: Optional[Fraction]) -> None:
-        if v is None:
-            raise MeasureError(f"missing mass for prefix {x!r}", x)
-        if not 0 <= v <= 1:
-            raise MeasureError(f"mass out of [0,1] at prefix {x!r}", x)
 
     def check(self) -> tuple[str, str] | None:
         """Return (message, prefix) for the first violated axiom, else None."""

@@ -31,7 +31,6 @@ from .measures import (
     _sums,
     _unbalanced_parents,
     _word,
-    _words,
     all_words,
     fill_down,
     fold_up,
@@ -59,27 +58,21 @@ __all__ = [
 
 class ExtendedTest(_PrefixTable):
     """Nonnegative rational values on every prefix up to `depth`, in the
-    table format of :class:`DyadicMeasure`."""
+    table format of :class:`DyadicMeasure`.
+
+    Construction from a prefix -> value mapping raises a ValueError naming
+    the first offending prefix, checking in this order: a missing prefix,
+    then a negative value.  Monotonicity and the average bound are
+    :func:`validate_extended_test`'s to report."""
 
     __slots__ = ()
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
-        self._fill(depth, values)
-
-    @staticmethod
-    def _refuse(x: str, v: Optional[Fraction]) -> None:
-        if v is None:
-            raise ValueError(f"test value missing for prefix {x!r}")
-        if v < 0:
-            raise ValueError(f"negative test value at prefix {x!r}")
-
-    @classmethod
-    def _of_levels(cls, nums: list[list[int]], dens: list[int]) -> "ExtendedTest":
-        for length, row in enumerate(nums):
+        self._fill(depth, values, lambda x: ValueError(f"test value missing for prefix {x!r}"))
+        for length, row in enumerate(self.nums):
             if min(row) < 0:
                 x = _word(next(i for i, v in enumerate(row) if v < 0), length)
                 raise ValueError(f"negative test value at prefix {x!r}")
-        return super()._of_levels(nums, dens)
 
     @classmethod
     def from_partial(cls, depth: int, listed: Mapping[str, Fraction]) -> "ExtendedTest":
@@ -281,7 +274,7 @@ def _running_sums(machine: PrefixMachine, measure: DyadicMeasure) -> list[list[t
         den = measure.dens[length]
         return [
             div_ratio(mass.get(x, Fraction(0)), Fraction(p, den))
-            for x, p in zip(_words(length), measure.nums[length])
+            for x, p in zip(all_words(length), measure.nums[length])
         ]
 
     def step(parent: list[tuple[Ext, bool]], length: int) -> list[tuple[Ext, bool]]:
@@ -352,10 +345,8 @@ def deficiency_profile(
     sums = _running_sums(machine, measure)
     depth = measure.depth
     leaves = [v for v, _ in sums[depth]]
-    den = measure.dens[depth]
-    tbar = fold_up(leaves, _minima)
     # finite: a leaf with mass has finite running sum, and mul_nonneg zeroes the rest
-    integral = fold_up([mul_nonneg(Fraction(p, den), v) for p, v in zip(measure.nums[depth], leaves)], _sums)
+    weighted = [mul_nonneg(Fraction(p, measure.dens[depth]), v) for p, v in zip(measure.nums[depth], leaves)]
     horizon = monotone.max_program_length() if monotone is not None else 0
 
     rows = []
@@ -365,12 +356,11 @@ def deficiency_profile(
         t = x[:length]
         ratio, _ = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
         running_sup = max(running_sup, ratio)
-        i = _index(t)
-        that, _ = div_ratio(integral[length][i], measure.mass(t))
+        that, _ = div_ratio(sum(_cylinder(weighted, t, depth), Fraction(0)), measure.mass(t))
         mono_ratio: Optional[Ext] = None
         if monotone is not None:
             mono_ratio, _ = div_ratio(monotone_output_prob(monotone, t, horizon), measure.mass(t))
-        running_sum, flagged = sums[length][i]
+        running_sum, flagged = sums[length][_index(t)]
         if running_sup > running_sum:
             raise AssertionError("running sup exceeded running sum")
         rows.append(
@@ -379,7 +369,7 @@ def deficiency_profile(
                 m_ratio=ratio,
                 running_sum=running_sum,
                 running_sup=running_sup,
-                tbar=tbar[length][i],
+                tbar=min(_cylinder(leaves, t, depth)),
                 that=that,
                 mono_ratio=mono_ratio,
                 flagged=flagged,

@@ -2,6 +2,7 @@ import argparse
 import math
 import random
 import shutil
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -248,12 +249,13 @@ def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     assert randlab.coupling.CapabilityError is CapabilityError
 
 
-@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits"])
+@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits", "criterion-n"])
 def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
     # one past each cap: four sequences try C(52, 3) * 3! Kuhn chains at
     # resolution 49, against C(51, 3) * 3! at 48, which the cap admits
     assert math.comb(51, 3) * 6 <= MAX_KUHN_CHAINS < math.comb(52, 3) * 6
     seqs = [write(tmp_path, f"{i}.seq", f"{i:02b}" + "0" * 6) for i in range(4)]
+    coins = [write(tmp_path, f"{p}.measure", f"bernoulli {p}/3\n") for p in (1, 2)]
     argv = {
         "urn-n": ["urn-check", str(MAX_URN_N + 1)],
         "neutral-grid": ["neutral", *seqs, "--depth", "2", "--resolution", "49"],
@@ -261,9 +263,18 @@ def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
         # uncapped, both end in an integer too long to print
         "tail-n": ["separator", str(MAX_TAIL_N + 1), "1/3", "--certify"],
         "tail-digits": ["separator", "720", "1/1000003", "--certify"],
+        # monotone functions stop at n = 4; the two tables at the depth cap
+        # would take megabytes before that refusal
+        "criterion-n": ["monotone-criterion", *coins, "--depth", str(MAX_DEPTH)],
     }[case]
     assert 720 * 7 > MAX_TAIL_DIGITS
-    assert run_cli(*argv) == 2
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # each refusal comes before the work it caps
     captured = capsys.readouterr()
     assert captured.err.startswith("capability error: ") and captured.err.count("\n") == 1
     assert captured.out == ""

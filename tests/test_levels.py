@@ -15,6 +15,7 @@ from helpers import (
     level,
     random_dyadic_measure,
     random_listed,
+    random_monotone_test,
     random_spec,
     random_word,
     reference_check,
@@ -28,8 +29,10 @@ from helpers import (
     reference_realize,
     reference_sparsity,
 )
+from randlab.bernoulli import extend_by_monotonicity
 from randlab.coupling import sparsity_value, submask_hull
 from randlab.exact import INF, fmt
+from randlab.formats import parse_test_file
 from randlab.measures import CapabilityError, DyadicMeasure, MeasureError, all_words, prefixes, realize
 from randlab.randtests import (
     ExtendedTest,
@@ -188,8 +191,14 @@ def test_words_are_checked_before_they_become_indices(word):
         (DyadicMeasure, {"": F(1), "0": F(3, 2), "1": F(-1, 2)}, "mass out of [0,1] at prefix '0'"),
         (ExtendedTest, {"": F(1), "1": F(1)}, "test value missing for prefix '0'"),
         (ExtendedTest, {"": F(1), "0": F(1), "1": F(-1)}, "negative test value at prefix '1'"),
+        # a missing prefix is refused before any value is checked
+        (DyadicMeasure, {"": F(1), "0": F(3, 2)}, "missing mass for prefix '1'"),
+        (ExtendedTest, {"": F(-1)}, "test value missing for prefix '0'"),
     ],
-    ids=["measure-missing", "measure-out-of-range", "test-missing", "test-negative"],
+    ids=[
+        "measure-missing", "measure-out-of-range", "test-missing", "test-negative",
+        "measure-missing-before-out-of-range", "test-missing-before-negative",
+    ],
 )
 def test_tables_refuse_a_missing_or_out_of_range_value(table, values, message):
     with pytest.raises(ValueError) as err:
@@ -197,6 +206,35 @@ def test_tables_refuse_a_missing_or_out_of_range_value(table, values, message):
     assert str(err.value) == message
     if table is DyadicMeasure:
         assert isinstance(err.value, MeasureError) and message.endswith(repr(err.value.prefix))
+
+
+@pytest.mark.parametrize("seed,depth", CASES)
+def test_every_test_builder_gives_nonnegative_rows(tmp_path, seed, depth):
+    # Only the mapping constructor scans its rows for a negative value; the
+    # other builders refuse a negative input or make their rows from a test
+    # already built, and these are all of them.
+    rng = random.Random(seed * 53 + depth)
+    measure = realize(random_spec(rng, depth), depth)
+    signed = {x: v - 6 if rng.random() < 0.3 else v for x, v in random_listed(rng, depth).items()}
+    path = tmp_path / "signed.test"
+    path.write_text(f"test {depth}\n" + "".join(f"{x or '-'} {v}\n" for x, v in signed.items()), encoding="ascii")
+    builders = [
+        lambda: ExtendedTest.from_partial(depth, signed),
+        lambda: parse_test_file(str(path)),
+        lambda: from_weights({x: v / 72 for x, v in signed.items()}, measure, depth),  # budget <= 6 * 12 / 72
+    ]
+    tests = []
+    for build in builders:
+        if any(v < 0 for v in signed.values()):
+            with pytest.raises(ValueError, match="negative"):
+                build()
+        else:
+            tests.append(build())
+    bounded = random_monotone_test(rng, measure, depth)
+    below_one = ExtendedTest.from_partial(depth, {x: v / 12 for x, v in random_listed(rng, depth).items()})
+    tests += [bounded, prob_to_avg_convert(bounded, measure)[0], extend_by_monotonicity(below_one, depth + 2)]
+    tests += [test.truncated(k) for test in list(tests) for k in range(depth + 1)]
+    assert all(min(row) >= 0 for test in tests for row in test.nums)
 
 
 @pytest.mark.parametrize(

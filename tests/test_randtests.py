@@ -16,7 +16,7 @@ from helpers import (
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
 from randlab.machines import PrefixMachine, canonical_machine
-from randlab.measures import Bernoulli, all_words, point_mass, realize
+from randlab.measures import Bernoulli, DyadicMeasure, all_words, point_mass, realize
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     ExtendedTest,
@@ -310,6 +310,31 @@ def test_deficiency_chain_on_random_instances():
             assert row.running_sup <= row.running_sum
             if measure.mass(row.prefix) > 0:
                 assert row.tbar <= row.that
+
+
+def test_deficiency_profile_reads_its_running_sum_test():
+    # With full support the running sum of m(t)/P(t) is finite: it is the
+    # test with weights m(t)/P(t), whose budget is the Kraft sum.
+    rng = random.Random(37)
+    rows = 0
+    for _ in range(60):
+        depth = rng.randrange(0, 6)
+        mass = {"": F(1)}
+        for length in range(depth):
+            for x in all_words(length):
+                theta = F(rng.randint(1, 6), 7)
+                mass[x + "0"], mass[x + "1"] = mass[x] * (1 - theta), mass[x] * theta
+        measure = DyadicMeasure(depth, mass)
+        machine = random_prefix_machine(rng)
+        weights = {t: m / measure.mass(t) for t, m in machine.output_mass().items() if len(t) <= depth}
+        T = from_weights(weights, measure, depth)
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
+        for row in deficiency_profile(machine, None, measure, x).rows:
+            assert row.running_sum == T.value(row.prefix)
+            assert row.tbar == min_extension(T, row.prefix)
+            assert row.that == conditional_average(T, measure, row.prefix)
+            rows += 1
+    assert rows > 100
 
 
 def test_sum_test_is_average_bounded():

@@ -13,7 +13,7 @@ from math import comb
 from typing import Optional
 
 from .exact import fmt
-from .measures import CapabilityError, _doubled, _word, fill_down
+from .measures import CapabilityError, _doubled, _word, class_masses, fill_down
 from .poly import _trimmed, nonneg_on_unit_interval
 from .randtests import ExtendedTest, Verdict, _non_monotone_children
 
@@ -85,17 +85,9 @@ def extend_by_monotonicity(test: ExtendedTest, n_target: int) -> ExtendedTest:
     return extended
 
 
-#: Largest urn-check word length: the check takes about 0.02 s at n = 20,
+#: Largest urn-check word length: the check takes about 0.01 s at n = 20,
 #: but its integers grow with n and its time faster than n^4 (5.5 s at n = 80).
 MAX_URN_N = 20
-
-
-def _falling(a: int, n: int) -> list[int]:
-    """The falling factorials a (a-1) ... (a-j+1) for j = 0..n; 0 once j > a."""
-    out = [1]
-    for j in range(n):
-        out.append(out[-1] * (a - j))
-    return out
 
 
 def replacement_domination_check(n: int) -> Verdict:
@@ -105,35 +97,27 @@ def replacement_domination_check(n: int) -> Verdict:
     One row: n, the factor, the largest ratio and the (K, word) attaining
     it, first in K and word order; that (K, word) is the witness on failure.
 
-    Both laws give every word of B(n, k) the same mass, so one word per
-    class decides, 0^(n-k) 1^k being the first of its class in word order:
-    the urn gives it K^(k) (N-K)^(n-k) / N^(n) in falling factorials and
-    the coin K^k (N-K)^(n-k) / N^n.  Call the two numerators A and B.  The
-    bound reads A (N-n)^n <= B N^(n), and the ratio is A/B times the
-    constant N^n / N^(n), so the classes are ranked by A/B, compared by
-    integer cross-multiplication.
-    """
+    Both laws give every word of B(n, k) the same mass, 1/C(n, k) of the
+    class's `class_masses`, so the classes are ranked by urn mass / coin
+    mass, compared by integer cross-multiplication; 0^(n-k) 1^k is the
+    first word of its class.  A class the coin cannot draw, the urn cannot
+    either, so the bound holds iff it holds at the largest ratio."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n > MAX_URN_N:
         raise CapabilityError(f"urn check capped at n = {MAX_URN_N}, got {n}")
     N = n * n
-    draws = _falling(N, n)[n]
-    shrunk = (N - n) ** n
-    best_a, best_b = 0, 1
-    argmax: Optional[tuple[int, int]] = None
-    ok = True
+    best_a, best_b, argmax = 0, 1, None
     for K in range(N + 1):
-        ones, zeros = _falling(K, n), _falling(N - K, n)
-        for k in range(n + 1):
-            a = ones[k] * zeros[n - k]
-            b = K ** k * (N - K) ** (n - k)
-            ok = ok and a * shrunk <= b * draws
-            if b and a * best_b > best_a * b:
+        urn, draws = class_masses(K, N - K, n, -1)
+        coin, tosses = class_masses(K, N - K, n, 0)
+        for k, (a, b) in enumerate(zip(urn, coin)):
+            if a * best_b > best_a * b:
                 best_a, best_b, argmax = a, b, (K, k)
+    ok = best_a * (N - n) ** n <= best_b * draws
     K, k = argmax
     word = "0" * (n - k) + "1" * k
-    ratio = Fraction(best_a * N ** n, best_b * draws)
+    ratio = Fraction(best_a * tosses, best_b * draws)
     row = (str(n), fmt(Fraction(N, N - n) ** n), fmt(ratio), f"K={K},x={word}", "pass" if ok else "fail")
     return Verdict(ok=ok, rows=[row], witness=None if ok else (K, word))
 

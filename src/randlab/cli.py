@@ -160,6 +160,7 @@ def _lower_upper(args):
 
 
 def _coupling(args):
+    cp._refuse_past_cap(args.depth)  # before either table is realized
     verdict = cp.is_coupled_below(*_lower_upper(args), args.depth)
     return PLAN if verdict.ok else UPPER_SET, verdict.rows, verdict.ok
 

@@ -42,6 +42,7 @@ V = TypeVar("V")
 
 __all__ = [
     "CapabilityError",
+    "MAX_COUPLING_N",
     "leq_words",
     "is_coupled_below",
     "enumerate_upper_sets",
@@ -168,6 +169,16 @@ def _hasse_flow(
     return total, plan, [d >= 0 for d in level[:size]]
 
 
+#: Largest level `is_coupled_below` decides: 0.3-0.6 s at n = 12, and each
+#: level past it at least doubles that (17 s and 180 MB at n = 16).
+MAX_COUPLING_N = 12
+
+
+def _refuse_past_cap(n: int) -> None:
+    if n > MAX_COUPLING_N:
+        raise CapabilityError(f"coupling capped at n = {MAX_COUPLING_N}, got {n}")
+
+
 def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     """Decide whether the level-n restriction of P can be coupled below Q.
 
@@ -177,8 +188,9 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     over all pairs x <= y.  Feasibility returns the transportation plan,
     one (x, y, mass) row per pair in word order; infeasibility returns the
     residual-reachable side of the min cut: the inclusion-minimal upper set
-    U maximizing P(U) - Q(U), with P(U) > Q(U).
+    U maximizing P(U) - Q(U), with P(U) > Q(U).  Refuses n > `MAX_COUPLING_N`.
     """
+    _refuse_past_cap(n)
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
     words = all_words(n)

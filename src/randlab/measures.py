@@ -28,7 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .exact import _common_denominator
@@ -47,6 +47,7 @@ __all__ = [
     "Mixture",
     "MeasureSpec",
     "realize",
+    "class_masses",
     "point_mass",
     "block_frequency",
     "count_upcrossings",
@@ -375,6 +376,29 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
             dens.append(den)
         return DyadicMeasure._of_levels(nums, dens)
     raise TypeError(f"not a measure spec: {spec!r}")
+
+
+def class_masses(ones: int, zeros: int, n: int, step: int) -> tuple[list[int], int]:
+    """Masses of the classes B(n, 0..n) when n balls are drawn from `ones`
+    ones and `zeros` zeros, each draw adding `step` balls of its colour: the
+    integers C(n, k) ones^(k) zeros^(n-k) over (ones + zeros)^(n), where
+    a^(j) = a (a + step) ... (a + (j-1) step).  Step 0 is the coin
+    ones/(ones + zeros), step -1 an urn drawn without replacement.  The first
+    nonzero class comes from its factors, each next one from the last by the
+    exact ratio (n - k)(ones + k step) / ((k + 1)(zeros + (n - k - 1) step)),
+    whose divisor is a factor of the first class."""
+    def rising(a: int, j: int) -> int:
+        return a ** j if step == 0 else prod(range(a, a + j * step, step))
+
+    start = next((n - i for i in range(n) if zeros + i * step == 0), 0)
+    mass = comb(n, start) * rising(ones, start) * rising(zeros, n - start)
+    masses = [0] * start + [mass]
+    up, down = ones + start * step, zeros + (n - start - 1) * step
+    for k in range(start + 1, n + 1):
+        mass = mass * ((n - k + 1) * up) // (k * down)  # one big-integer product and quotient
+        masses.append(mass)
+        up, down = up + step, down - step
+    return masses, rising(ones + zeros, n)
 
 
 def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:

@@ -220,6 +220,31 @@ def reference_urn_check(n: int) -> Verdict:
     return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
 
 
+def reference_urn_check_by_class(n: int) -> Verdict:
+    """The urn bound at N = n^2 scored one class B(n, k) at a time in
+    `Fraction`s, from hypergeometric and binomial class probabilities:
+    C(K, k) C(N-K, n-k) / C(N, n) for the urn against C(n, k) p^k (1-p)^(n-k)
+    for the coin.  A word's ratio is its class's, and 0^(n-k) 1^k is the first
+    word of B(n, k), so this agrees with `reference_urn_check` past the n at
+    which scoring every word stops being practical."""
+    N = n * n
+    factor = Fraction(N, N - n) ** n
+    max_ratio, argmax, ok = Fraction(0), None, True
+    for K in range(N + 1):
+        p = Fraction(K, N)
+        for k in range(n + 1):
+            hyper = Fraction(comb(K, k) * comb(N - K, n - k), comb(N, n))
+            bern = comb(n, k) * p ** k * (1 - p) ** (n - k)
+            if hyper > factor * bern:
+                ok = False
+            if bern > 0 and hyper / bern > max_ratio:
+                max_ratio = hyper / bern
+                argmax = (K, "0" * (n - k) + "1" * k)
+    where = f"K={argmax[0]},x={argmax[1]}"
+    row = (str(n), fmt(factor), fmt(max_ratio), where, "pass" if ok else "fail")
+    return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
+
+
 def words_with_ones(n: int, k: int) -> list[str]:
     """B(n, k): length-n words with exactly k ones, lexicographic."""
     if not 0 <= k <= n:

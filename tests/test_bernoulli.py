@@ -14,6 +14,7 @@ from helpers import (
     random_listed,
     reference_bernoulli_poly,
     reference_urn_check,
+    reference_urn_check_by_class,
     words_with_ones,
 )
 from randlab.bernoulli import (
@@ -24,7 +25,7 @@ from randlab.bernoulli import (
     validate_combinatorial_test,
 )
 from randlab.exact import fmt
-from randlab.measures import all_words, prefixes
+from randlab.measures import all_words, class_masses, prefixes
 from randlab.randtests import ExtendedTest
 
 SEED_GRID = [F(0), F(1, 2), F(1), F(2)]
@@ -145,7 +146,38 @@ def test_urn_domination(n, factor):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_urn_check_scores_one_word_per_class_like_every_word(n):
     # the row carries n, the factor, the largest ratio and its (K, word)
-    assert replacement_domination_check(n) == reference_urn_check(n)
+    assert replacement_domination_check(n) == reference_urn_check(n) == reference_urn_check_by_class(n)
+
+
+@pytest.mark.parametrize("n", range(9, 21))
+def test_urn_check_matches_the_class_probabilities_past_word_scoring(n):
+    assert replacement_domination_check(n) == reference_urn_check_by_class(n)
+
+
+def test_class_masses_are_the_urn_and_coin_class_probabilities():
+    def first_word(n, k):
+        return "0" * (n - k) + "1" * k
+
+    for N in range(1, 9):
+        for K in range(N + 1):
+            for n in range(N + 1):
+                urn, draws = class_masses(K, N - K, n, -1)
+                coin, tosses = class_masses(K, N - K, n, 0)
+                assert [F(m, draws) for m in urn] == [
+                    comb(n, k) * hypergeom_prefix_prob(N, K, first_word(n, k)) for k in range(n + 1)
+                ]
+                assert [F(m, tosses) for m in coin] == [
+                    comb(n, k) * bernoulli_mass(F(K, N), first_word(n, k)) for k in range(n + 1)
+                ]
+                assert sum(urn) == draws and sum(coin) == tosses
+    # the coin at p = 0 and p = 1 as the tail check passes it: a lone class
+    for ones, zeros in ((0, 1), (1, 0)):
+        for n in range(9):
+            coin, tosses = class_masses(ones, zeros, n, 0)
+            assert [F(m, tosses) for m in coin] == [
+                comb(n, k) * bernoulli_mass(F(ones), first_word(n, k)) for k in range(n + 1)
+            ]
+            assert sum(coin) == tosses == 1
 
 
 def test_class_average_rows_match_class_average_on_random_tables():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import check_pushdown, level, random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
+    MAX_COUPLING_N,
     CapabilityError,
     enumerate_upper_sets,
     is_coupled_below,
@@ -56,6 +57,13 @@ def test_dedekind_counts():
 def test_enumeration_refuses_n5():
     with pytest.raises(CapabilityError):
         enumerate_upper_sets(5)
+
+
+def test_coupling_refuses_a_level_past_its_cap():
+    n = MAX_COUPLING_N + 1
+    coin = realize(Bernoulli(F(1, 2)), n)
+    with pytest.raises(CapabilityError, match=f"^coupling capped at n = {MAX_COUPLING_N}, got {n}$"):
+        is_coupled_below(coin, coin, n)
 
 
 def test_criterion_identical_measures_pass():

@@ -33,6 +33,7 @@ from randlab.formats import (
 )
 from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.bernoulli import MAX_URN_N
+from randlab.coupling import MAX_COUPLING_N
 from randlab.measures import MAX_DEPTH, Bernoulli, CapabilityError, DyadicMeasure, Mixture, all_words, realize
 from randlab.neutral import MAX_KUHN_CHAINS
 from randlab.separator import MAX_TAIL_DIGITS, MAX_TAIL_N
@@ -249,7 +250,7 @@ def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     assert randlab.coupling.CapabilityError is CapabilityError
 
 
-@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits", "criterion-n"])
+@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits", "criterion-n", "coupling-n"])
 def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
     # one past each cap: four sequences try C(52, 3) * 3! Kuhn chains at
     # resolution 49, against C(51, 3) * 3! at 48, which the cap admits
@@ -266,8 +267,10 @@ def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
         # monotone functions stop at n = 4; the two tables at the depth cap
         # would take megabytes before that refusal
         "criterion-n": ["monotone-criterion", *coins, "--depth", str(MAX_DEPTH)],
+        # the flow stops at MAX_COUPLING_N; here too the tables would take megabytes
+        "coupling-n": ["coupling", *coins, "--depth", str(MAX_DEPTH)],
     }[case]
-    assert 720 * 7 > MAX_TAIL_DIGITS
+    assert 720 * 7 > MAX_TAIL_DIGITS and MAX_COUPLING_N < MAX_DEPTH
     tracemalloc.start()
     try:
         assert run_cli(*argv) == 2

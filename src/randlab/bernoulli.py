@@ -41,16 +41,16 @@ def validate_combinatorial_test(test: ExtendedTest) -> Verdict:
     Every non-monotone child gets a row; the witness is a message naming
     the first violation.
     """
-    nums, dens = test.nums, test.dens
+    nums, den = test.nums, test.den
     rows: list[tuple[str, str, str, str]] = []
     first: Optional[str] = None
-    for n, i in _non_monotone_children(nums, dens):
+    for n, i in _non_monotone_children(nums):
         child = _word(i, n)
-        value, parent = Fraction(nums[n][i], dens[n]), Fraction(nums[n - 1][i >> 1], dens[n - 1])
+        value, parent = Fraction(nums[n][i], den), Fraction(nums[n - 1][i >> 1], den)
         rows.append((child, fmt(value), fmt(parent), "non-monotone"))
         if first is None:
             first = f"monotonicity fails at {child!r}"
-    for n, (row, den) in enumerate(zip(nums, dens)):
+    for n, row in enumerate(nums):
         for k, total in enumerate(_class_sums(row, n)):
             average = Fraction(total, den * comb(n, k))
             ok_class = average <= 1
@@ -76,7 +76,7 @@ def extend_by_monotonicity(test: ExtendedTest, n_target: int) -> ExtendedTest:
     if n_target < depth:
         raise ValueError("target depth below the given depth")
     nums = fill_down(n_target, test.nums[0][0], lambda above, n: test.nums[n] if n <= depth else _doubled(above))
-    extended = ExtendedTest._of_levels(nums, test.dens + [test.dens[-1]] * (n_target - depth))
+    extended = ExtendedTest._of_levels(nums, test.den)
     check = validate_combinatorial_test(extended)
     if not check.ok:
         raise AssertionError(
@@ -125,7 +125,7 @@ def replacement_domination_check(n: int) -> Verdict:
 def bernoulli_poly(test: ExtendedTest, n: int) -> tuple[list[int], int]:
     """The level-n coin average sum_x T(x) p^ones(x) (1-p)^zeros(x), expanded
     as (coeffs, den): an integer coefficient row in ascending degree with
-    trailing zeros trimmed, over the level's denominator.
+    trailing zeros trimmed, over the test's denominator.
 
     With S_k the row's sum over B(n, k), expanding (1-p)^(n-k) by the
     binomial theorem gives p^j the numerator
@@ -138,7 +138,7 @@ def bernoulli_poly(test: ExtendedTest, n: int) -> tuple[list[int], int]:
         sum((-1) ** (j - k) * comb(n - k, j - k) * s for k, s in enumerate(sums[: j + 1]))
         for j in range(n + 1)
     ]
-    return _trimmed(coeffs), test.dens[n]
+    return _trimmed(coeffs), test.den
 
 
 def certify_bernoulli_test(test: ExtendedTest) -> Verdict:

@@ -67,7 +67,7 @@ MODE = ("--mode", {"choices": ("martingale", "supermartingale"), "default": "mar
 
 def _validate_measure(args):
     measure = realize(parse_measure_spec_file(args.spec), args.depth)
-    sums = [fmt_ratio(sum(row), den) for row, den in zip(measure.nums, measure.dens)]
+    sums = [fmt_ratio(sum(row), measure.den) for row in measure.nums]
     return VERDICT, [(f"len={n}", total, fmt(1), "pass") for n, total in enumerate(sums)], True
 
 
@@ -173,7 +173,7 @@ def _monotone_criterion(args):
 
 def _monotonize(args):
     test = parse_test_file(args.test)
-    hull, den = cp.submask_hull(test.nums[-1]), test.dens[-1]
+    hull, den = cp.submask_hull(test.nums[-1]), test.den
     words = map(format_word, all_words(test.depth))
     return ("word", "value"), list(zip(words, fmt_ratios(hull, den))), True
 

@@ -29,7 +29,6 @@ from .measures import (
     DyadicMeasure,
     _index,
     _maxima,
-    _rescaled,
     _sums,
     all_words,
     fold_up,
@@ -182,7 +181,7 @@ def _refuse_past_cap(n: int) -> None:
 def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     """Decide whether the level-n restriction of P can be coupled below Q.
 
-    The masses are scaled to integers by the lcm of the level's
+    The masses are scaled to integers by the lcm of the two tables'
     denominators and sent through an integer max flow on the Hasse diagram
     of {0,1}^n, which by Strassen's theorem has the same value as the flow
     over all pairs x <= y.  Feasibility returns the transportation plan,
@@ -194,9 +193,9 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     if n > min(P.depth, Q.depth):
         raise ValueError("level beyond a measure table depth")
     words = all_words(n)
-    scale = lcm(P.dens[n], Q.dens[n])
-    supply = _rescaled(P.nums[n], P.dens[n], scale)
-    demand = _rescaled(Q.nums[n], Q.dens[n], scale)
+    scale = lcm(P.den, Q.den)
+    supply = [v * (scale // P.den) for v in P.nums[n]]
+    demand = [v * (scale // Q.den) for v in Q.nums[n]]
     total, plan, reachable = _hasse_flow(n, supply, demand)
     if total == sum(supply):
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
@@ -306,11 +305,11 @@ def pushdown_measure(
     # at the first maximizer in word order: its value is the hull at x.
     best = submask_hull([(v, -y) for y, v in enumerate(row)])
     coin = realize(Bernoulli(p), n)
-    leaves, den = coin.nums[n], coin.dens[n]
+    leaves, den = coin.nums[n], coin.den
     moved = [0] * len(row)
     for mass, (_, y) in zip(leaves, best):
         moved[-y] += mass
-    q_star = DyadicMeasure._of_levels(fold_up(moved, _sums), [den] * (n + 1))
+    q_star = DyadicMeasure._of_levels(fold_up(moved, _sums), den)
     lhs = sum(map(operator.mul, moved, row), Fraction(0)) / den
     rhs = sum((mass * hull for mass, (hull, _) in zip(leaves, best)), Fraction(0)) / den
     if not (is_coupled_below(q_star, coin, n).ok and lhs == rhs):
@@ -330,4 +329,4 @@ def sparsity_value(test: ExtendedTest, x: str) -> Fraction:
         for y in range(i, 1 << len(x))
         if y & i == i
     )
-    return Fraction(best, test.dens[-1])
+    return Fraction(best, test.den)

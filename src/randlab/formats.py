@@ -224,7 +224,7 @@ def format_values(test: ExtendedTest) -> Iterator[tuple[str, str]]:
     produced a level at a time."""
     words = prefixes(test.depth)
     next(words)  # the empty word, written `-`
-    return zip(chain(["-"], words), chain.from_iterable(map(fmt_ratios, test.nums, test.dens)))
+    return zip(chain(["-"], words), chain.from_iterable(fmt_ratios(row, test.den) for row in test.nums))
 
 
 def render_test_file(test: ExtendedTest) -> str:

@@ -5,12 +5,15 @@ word is `""`.  Words appear only where text is read or written.  Inside,
 every prefix table is stored a level at a time: level k is a list of the
 2^k words of length k in word order, so the word whose bits, read as a
 binary number, equal i sits at index i.  Measures and tests share one
-table type: integer numerators `nums[k][i]` over one denominator `dens[k]`
-per level.  A :class:`DyadicMeasure` has mass("") = 1 and mass(x) =
-mass(x0) + mass(x1) at every interior prefix; `randtests.ExtendedTest` has
-nonnegative values.  A word -> value mapping becomes a table once, in its
-constructor; past that, the kernels take and return these level rows only,
-read them directly and decide every (in)equality by integer arithmetic.
+table type: integer numerators `nums[k][i]` over one denominator `den` for
+the whole table, so rows of different levels compare as they stand.  A
+:class:`DyadicMeasure` has mass("") = 1 and mass(x) = mass(x0) + mass(x1)
+at every interior prefix; `randtests.ExtendedTest` has nonnegative values.
+A word -> value mapping becomes a table once, in its constructor; past
+that, the kernels take and return these level rows only, read them
+directly and decide every (in)equality by integer arithmetic.  Every
+measure that `realize`, `from_leaves` or `point_mass` builds is one leaf
+row summed up the tree by `fold_up`; a table spec is only cut to depth.
 Frequency statistics (sliding block averages and their upcrossing counts)
 live here too, since they are functions of words and masses only.
 
@@ -125,11 +128,6 @@ def _word_levels(depth: int) -> Iterator[list[str]]:
         yield words
 
 
-def _rescaled(row: list[int], den: int, target: int) -> list[int]:
-    """Numerators of row/den over `target`, a multiple of `den`."""
-    return row if den == target else [v * (target // den) for v in row]
-
-
 # Entrywise combinations of two rows of equal length, for `fold_up` and the
 # closures: a comparison per entry instead of a call to `min`/`max`, and on
 # ties the entry of the first row, as `min`/`max` keep their first argument.
@@ -183,29 +181,28 @@ def fold_up(leaves: list[V], combine: Callable[[list[V], list[V]], list[V]]) -> 
     return levels
 
 
-def _unbalanced_parents(nums: list[list], dens: list[int], fails=operator.ne) -> Iterator[tuple]:
-    """(length, index, parent, children's sum, den) of every interior prefix
-    with fails(parent, sum), both numerators over den, level by level in word
-    order.  Additivity of a measure is the martingale identity with g = 1."""
+def _unbalanced_parents(nums: list[list], fails=operator.ne) -> Iterator[tuple]:
+    """(length, index, parent, children's sum) of every interior prefix with
+    fails(parent, sum), level by level in word order; the levels share one
+    denominator.  Additivity of a measure is the martingale identity with
+    g = 1."""
     for length in range(len(nums) - 1):
-        den = lcm(dens[length], dens[length + 1])
-        below = nums[length + 1]
-        parents = _rescaled(nums[length], dens[length], den)
-        sums = _rescaled(_sums(below[0::2], below[1::2]), dens[length + 1], den)
+        parents, below = nums[length], nums[length + 1]
+        sums = _sums(below[0::2], below[1::2])
         for i in itertools.compress(range(len(parents)), map(fails, parents, sums)):
-            yield length, i, parents[i], sums[i], den
+            yield length, i, parents[i], sums[i]
 
 
 class _PrefixTable:
     """Rational values on every prefix up to `depth`: level k is `nums[k]`
-    over `dens[k]`, in word order.  Instances are immutable after
-    construction."""
+    over the table's one denominator `den`, in word order.  Instances are
+    immutable after construction."""
 
-    __slots__ = ("depth", "nums", "dens")
+    __slots__ = ("depth", "nums", "den")
 
     def _fill(self, depth: int, values: Mapping[str, Fraction], missing: Callable[[str], ValueError]) -> None:
-        """Hold values[x] at every prefix x, each level over its lcm, reading
-        the mapping a level of words at a time; the first prefix it does not
+        """Hold values[x] at every prefix x, all over one lcm, reading the
+        mapping a level of words at a time; the first prefix it does not
         list is refused with missing(prefix).  The subclass checks the rows
         for the values it does not take."""
         rows = []
@@ -213,25 +210,26 @@ class _PrefixTable:
             absent = next((x for x in words if x not in values), None)
             if absent is not None:
                 raise missing(absent)
-            rows.append(_common_denominator(Fraction(values[x]) for x in words))
+            rows.append([Fraction(values[x]) for x in words])
+        nums, self.den = _common_denominator(itertools.chain.from_iterable(rows))
         self.depth = depth
-        self.nums, self.dens = [nums for nums, _ in rows], [den for _, den in rows]
+        self.nums = [nums[(1 << length) - 1 : (2 << length) - 1] for length in range(depth + 1)]
 
     @classmethod
-    def _of_levels(cls, nums: list[list[int]], dens: list[int]):
+    def _of_levels(cls, nums: list[list[int]], den: int):
         table = object.__new__(cls)
         table.depth = len(nums) - 1
-        table.nums, table.dens = nums, dens
+        table.nums, table.den = nums, den
         return table
 
     def _at(self, x: str) -> Fraction:
         """The value at a binary word no deeper than the table."""
-        return Fraction(self.nums[len(x)][_index(x)], self.dens[len(x)])
+        return Fraction(self.nums[len(x)][_index(x)], self.den)
 
     def truncated(self, depth: int):
         if depth > self.depth:
             raise ValueError("cannot deepen a table by truncation")
-        return self._of_levels(self.nums[: _capped(depth) + 1], self.dens[: depth + 1])
+        return self._of_levels(self.nums[: _capped(depth) + 1], self.den)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(depth={self.depth})"
@@ -258,17 +256,18 @@ class DyadicMeasure(_PrefixTable):
         return self._bounds_error() or self._additivity_error()
 
     def _bounds_error(self) -> tuple[str, str] | None:
-        for length, (row, den) in enumerate(zip(self.nums, self.dens)):
+        den = self.den
+        for length, row in enumerate(self.nums):
             if min(row) < 0 or max(row) > den:
                 i = next(i for i, v in enumerate(row) if not 0 <= v <= den)
                 x = _word(i, length)
                 return (f"mass out of [0,1] at prefix {x!r}", x)
-        if self.nums[0][0] != self.dens[0]:
+        if self.nums[0][0] != den:
             return ("mass of the empty word must be 1", "")
         return None
 
     def _additivity_error(self) -> tuple[str, str] | None:
-        bad = next(_unbalanced_parents(self.nums, self.dens), None)
+        bad = next(_unbalanced_parents(self.nums), None)
         if bad is None:
             return None
         x = _word(bad[1], bad[0])
@@ -285,7 +284,7 @@ class DyadicMeasure(_PrefixTable):
         scaled, den = _common_denominator(given.values())
         for x, v in zip(given, scaled):
             row[_index(x)] = v
-        measure = cls._of_levels(fold_up(row, _sums), [den] * (depth + 1))
+        measure = cls._of_levels(fold_up(row, _sums), den)
         err = measure._bounds_error()
         if err is not None:
             raise MeasureError(*err)
@@ -302,8 +301,8 @@ class DyadicMeasure(_PrefixTable):
             isinstance(other, DyadicMeasure)
             and self.depth == other.depth
             and all(
-                [v * db for v in a] == [v * da for v in b]
-                for a, da, b, db in zip(self.nums, self.dens, other.nums, other.dens)
+                [v * other.den for v in a] == [v * self.den for v in b]
+                for a, b in zip(self.nums, other.nums)
             )
         )
 
@@ -341,41 +340,44 @@ class Mixture:
 MeasureSpec = Union[Bernoulli, DyadicMeasure, Mixture]
 
 
-def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
-    """Expand a spec into its depth-truncated mass table.
+def _leaves(spec: MeasureSpec, depth: int) -> tuple[list[int], int]:
+    """The level-`depth` masses of a spec as (numerators, denominator).
 
-    Bernoulli(a/b) has numerators (b-a)^zeros a^ones over b^k at level k; a
-    table is cut at `depth`; a mixture puts each level over the lcm of
-    (weight denominator x part denominator).
-    """
+    Bernoulli(a/b) gives each word with k ones (b-a)^(depth-k) a^k over
+    b^depth, one int per class; a table gives its own level row; a mixture
+    puts its parts' rows over the lcm of (weight denominator x part
+    denominator)."""
     if isinstance(spec, Bernoulli):
         a, b = spec.p.numerator, spec.p.denominator
-
-        def step(parent: list[int], length: int) -> list[int]:
-            child = [0] * (2 * len(parent))
-            child[0::2] = [v * (b - a) for v in parent]
-            child[1::2] = [v * a for v in parent]
-            return child
-
-        return DyadicMeasure._of_levels(fill_down(depth, 1, step), [b ** k for k in range(depth + 1)])
+        size = 1 << _capped(depth)
+        masses = [(b - a) ** (depth - k) * a ** k for k in range(depth + 1)]
+        return [masses[i.bit_count()] for i in range(size)], b ** depth
     if isinstance(spec, DyadicMeasure):
         if depth > spec.depth:
             raise ValueError(f"table of depth {spec.depth} cannot realize depth {depth}")
-        return spec.truncated(depth)
+        return spec.nums[_capped(depth)], spec.den
     if isinstance(spec, Mixture):
-        parts = [realize(part, depth) for part in spec.parts]
-        nums, dens = [], []
-        for length in range(depth + 1):
-            scales = [w.denominator * part.dens[length] for w, part in zip(spec.weights, parts)]
-            den = lcm(*scales)
-            row = [0] * (1 << length)
-            for w, part, scale in zip(spec.weights, parts, scales):
-                factor = w.numerator * (den // scale)
-                row = list(map(operator.add, row, [v * factor for v in part.nums[length]]))
-            nums.append(row)
-            dens.append(den)
-        return DyadicMeasure._of_levels(nums, dens)
+        parts = [_leaves(part, depth) for part in spec.parts]
+        scales = [w.denominator * den for w, (_, den) in zip(spec.weights, parts)]
+        den = lcm(*scales)
+        row = [0] * (1 << depth)
+        for w, (part, _), scale in zip(spec.weights, parts, scales):
+            factor = w.numerator * (den // scale)
+            row = _sums(row, [v * factor for v in part])
+        return row, den
     raise TypeError(f"not a measure spec: {spec!r}")
+
+
+def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
+    """Expand a spec into its depth-truncated mass table.
+
+    A table is cut at `depth`; any other spec is its leaf row (`_leaves`),
+    summed up the tree by `fold_up` over that row's one denominator.
+    """
+    row, den = _leaves(spec, depth)
+    if isinstance(spec, DyadicMeasure):
+        return spec.truncated(depth)
+    return DyadicMeasure._of_levels(fold_up(row, _sums), den)
 
 
 def class_masses(ones: int, zeros: int, n: int, step: int) -> tuple[list[int], int]:
@@ -408,10 +410,9 @@ def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:
         raise ValueError(
             f"prefix of length {len(omega_prefix)} too short for depth {depth}"
         )
-    nums = [[0] * (1 << length) for length in range(_capped(depth) + 1)]
-    for length, row in enumerate(nums):
-        row[_index(omega_prefix[:length])] = 1
-    return DyadicMeasure._of_levels(nums, [1] * (depth + 1))
+    row = [0] * (1 << _capped(depth))
+    row[_index(omega_prefix[:depth])] = 1
+    return DyadicMeasure._of_levels(fold_up(row, _sums), 1)
 
 
 def block_frequency(omega: str, x: str, n: int) -> Fraction:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .exact import INF, Ext, _common_denominator, ceil_log2, div_ratio, fmt, is_inf, mul_nonneg
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
@@ -27,7 +26,6 @@ from .measures import (
     _maxima,
     _minima,
     _PrefixTable,
-    _rescaled,
     _sums,
     _unbalanced_parents,
     _word,
@@ -92,7 +90,7 @@ class ExtendedTest(_PrefixTable):
 
     def is_monotone(self) -> Optional[str]:
         """None when monotone under prefix extension, else the first bad child."""
-        bad = next(_non_monotone_children(self.nums, self.dens), None)
+        bad = next(_non_monotone_children(self.nums), None)
         return None if bad is None else _word(bad[1], bad[0])
 
 
@@ -133,7 +131,7 @@ def _spread(
     nums: list[int],
     den: int,
     combine: Callable[[list[int], Iterable[int]], list[int]],
-) -> tuple[list[list[int]], list[int]]:
+) -> tuple[list[list[int]], int]:
     """Rows for the levels of `_by_length`, each word mapped to the position
     of its numerator in `nums`, all over `den`: the root holds its listed
     numerator (else 0), and every other prefix what its parent holds,
@@ -154,16 +152,15 @@ def _spread(
         return child
 
     root = nums[levels[0][""]] if levels[0] else 0
-    return fill_down(len(levels) - 1, root, step), [den] * len(levels)
+    return fill_down(len(levels) - 1, root, step), den
 
 
-def _non_monotone_children(nums: list[list[int]], dens: list[int]) -> Iterator[tuple[int, int]]:
-    """(length, index) of every child valued below its parent, level by level, in word order."""
+def _non_monotone_children(nums: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """(length, index) of every child valued below its parent, level by
+    level, in word order; the levels share one denominator."""
     for length in range(1, len(nums)):
-        den = lcm(dens[length - 1], dens[length])
-        parents = _doubled(_rescaled(nums[length - 1], dens[length - 1], den))
-        row = _rescaled(nums[length], dens[length], den)
-        for i in compress(range(len(row)), map(operator.gt, parents, row)):
+        row = nums[length]
+        for i in compress(range(len(row)), map(operator.gt, _doubled(nums[length - 1]), row)):
             yield length, i
 
 
@@ -199,16 +196,11 @@ class Verdict:
     witness: object = None
 
 
-def validate_extended_test(
-    test: ExtendedTest,
-    measure: DyadicMeasure,
-    antichain: Optional[Sequence[str]] = None,
-) -> Verdict:
+def validate_extended_test(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     """Check monotonicity and the level-average bound, exactly.
 
-    When an antichain is supplied, its prefix-freeness and the average bound
-    over it are checked as well.  Failures are report rows, never exceptions;
-    the witness is a message naming the first one.
+    Failures are report rows, never exceptions; the witness is a message
+    naming the first one.
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
@@ -220,25 +212,13 @@ def validate_extended_test(
         rows.append((bad, fmt(test.value(bad)), fmt(test.value(bad[:-1])), "non-monotone"))
         first = f"monotonicity fails at {bad!r}"
 
-    for length, (row, den) in enumerate(zip(test.nums, test.dens)):
-        average = Fraction(_dot(measure.nums[length], row), measure.dens[length] * den)
+    den = measure.den * test.den
+    for length, row in enumerate(test.nums):
+        average = Fraction(_dot(measure.nums[length], row), den)
         ok_level = average <= 1
         rows.append((f"len={length}", fmt(average), fmt(1), "pass" if ok_level else "fail"))
         if not ok_level and first is None:
             first = f"level {length} average {average} exceeds 1"
-
-    if antichain is not None:
-        members = sorted(antichain)
-        for a, b in zip(members, members[1:]):
-            if b.startswith(a):
-                rows.append((a, b, "", "not-an-antichain"))
-                if first is None:
-                    first = f"antichain members {a!r} and {b!r} are comparable"
-        # Once the checks above pass, the test is monotone and a prefix-free
-        # set's sum is at most the leaf average, so this row alone never
-        # decides the verdict.
-        total = sum((measure.mass(x) * test.value(x) for x in members), Fraction(0))
-        rows.append(("antichain", fmt(total), fmt(1), "pass" if total <= 1 else "fail"))
 
     return Verdict(ok=first is None, rows=rows, witness=first)
 
@@ -271,7 +251,7 @@ def _running_sums(machine: PrefixMachine, measure: DyadicMeasure) -> list[list[t
     mass = machine.output_mass()
 
     def ratios(length: int) -> list[tuple[Ext, bool]]:
-        den = measure.dens[length]
+        den = measure.den
         return [
             div_ratio(mass.get(x, Fraction(0)), Fraction(p, den))
             for x, p in zip(all_words(length), measure.nums[length])
@@ -346,7 +326,7 @@ def deficiency_profile(
     depth = measure.depth
     leaves = [v for v, _ in sums[depth]]
     # finite: a leaf with mass has finite running sum, and mul_nonneg zeroes the rest
-    weighted = [mul_nonneg(Fraction(p, measure.dens[depth]), v) for p, v in zip(measure.nums[depth], leaves)]
+    weighted = [mul_nonneg(Fraction(p, measure.den), v) for p, v in zip(measure.nums[depth], leaves)]
     horizon = monotone.max_program_length() if monotone is not None else 0
 
     rows = []
@@ -383,7 +363,7 @@ def min_extension(test: ExtendedTest, x: str) -> Fraction:
     validate_bits(x)
     if len(x) > test.depth:
         raise ValueError("prefix deeper than test")
-    return Fraction(min(_cylinder(test.nums[-1], x, test.depth)), test.dens[-1])
+    return Fraction(min(_cylinder(test.nums[-1], x, test.depth)), test.den)
 
 
 def _cylinder(row: list[int], x: str, depth: int) -> list[int]:
@@ -404,7 +384,7 @@ def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> F
         raise ValueError("need |x| <= test depth <= measure depth")
     depth = test.depth
     weighted = _dot(_cylinder(measure.nums[depth], x, depth), _cylinder(test.nums[depth], x, depth))
-    value, _ = div_ratio(Fraction(weighted, measure.dens[depth] * test.dens[depth]), measure.mass(x))
+    value, _ = div_ratio(Fraction(weighted, measure.den * test.den), measure.mass(x))
     return value
 
 
@@ -433,23 +413,19 @@ def martingale_check(
         level = scan if missing is None else len(missing) - 1
     if level > measure.depth:
         raise ValueError("g defined deeper than the measure table")
-    products, dens = [], []
-    for length in range(level + 1):
-        masses = measure.nums[length]
-        if isinstance(g, ExtendedTest):
-            product, den = list(map(operator.mul, masses, g.nums[length])), g.dens[length]
-        else:
-            values = [g[x] for x in all_words(length)]
-            finite, den = _common_denominator(Fraction(v) for v in values if not is_inf(v))
-            scaled = iter(finite)
-            row = [v if is_inf(v) else next(scaled) for v in values]  # `INF` kept
-            product = [0 if p == 0 else p * v for p, v in zip(masses, row)]  # 0 * inf = 0
-        products.append(product)
-        dens.append(measure.dens[length] * den)
+    if isinstance(g, ExtendedTest):
+        values, den = g.nums, g.den
+    else:
+        values = [[g[x] for x in all_words(length)] for length in range(level + 1)]
+        finite, den = _common_denominator(Fraction(v) for v in chain.from_iterable(values) if not is_inf(v))
+        scaled = iter(finite)
+        values = [[v if is_inf(v) else next(scaled) for v in row] for row in values]  # `INF` kept
+    products = [[p and p * v for p, v in zip(masses, row)] for masses, row in zip(measure.nums, values)]  # 0 * inf = 0
+    den *= measure.den
     fails = operator.ne if mode == "martingale" else operator.lt
     failures = [
         (_word(i, length), _ratio(lhs, den), _ratio(rhs, den))
-        for length, i, lhs, rhs, den in _unbalanced_parents(products, dens, fails)
+        for length, i, lhs, rhs in _unbalanced_parents(products, fails)
     ]
     if not failures:
         return Verdict(ok=True, rows=[("all", "-", "-", f"{mode}:pass")])
@@ -476,7 +452,7 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     """
     if test.depth > measure.depth:
         raise ValueError("test deeper than measure table")
-    td, md = test.dens[-1], measure.dens[test.depth]
+    td, md = test.den, measure.den
     mass_at: dict[int, int] = {}
     for v, m in zip(test.nums[-1], measure.nums[test.depth]):
         mass_at[v] = mass_at.get(v, 0) + m
@@ -547,13 +523,13 @@ def prob_to_avg_convert(
         raise ValueError(
             f"input is not probability-bounded: witness N={fmt(check.witness[0])}"
         )
-    td = test.dens[-1]
+    td = test.den
     damped = {v: convert_value(Fraction(v, td)) for v in set(test.nums[-1])}
     nums, den = _common_denominator(damped.values())
     scaled = dict(zip(damped, nums))
     leaves = list(map(scaled.__getitem__, test.nums[-1]))
-    converted = ExtendedTest._of_levels(fold_up(leaves, _minima), [den] * (test.depth + 1))
-    average = Fraction(_dot(measure.nums[test.depth], leaves), measure.dens[test.depth] * den)
+    converted = ExtendedTest._of_levels(fold_up(leaves, _minima), den)
+    average = Fraction(_dot(measure.nums[test.depth], leaves), measure.den * den)
     if average > CONVERT_AVG_BOUND:
         raise AssertionError(
             f"certified conversion bound violated: {average} > {CONVERT_AVG_BOUND}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .exact import fmt
 from .measures import CapabilityError, class_masses, validate_bits
@@ -30,16 +30,18 @@ __all__ = [
 ]
 
 
-def deviation_exceeds(count: int, n: int, p: Fraction) -> bool:
-    """Decide |count - n p| > n^(3/5) exactly.
-
-    With p = a/b the inequality is equivalent to |count*b - n*a|^5 > n^3 b^5,
-    an integer comparison.
-    """
-    p = Fraction(p)
+def _deviates(n: int, p: Fraction) -> Callable[[int], bool]:
+    """count -> |count - n p| > n^(3/5), exactly, for one n and p = a/b: the
+    inequality is |count*b - n*a|^5 > n^3 b^5, an integer comparison whose
+    centre and bound are computed once."""
     a, b = p.numerator, p.denominator
-    lhs = abs(count * b - n * a) ** 5
-    return lhs > n ** 3 * b ** 5
+    centre, bound = n * a, n ** 3 * b ** 5
+    return lambda count: abs(count * b - centre) ** 5 > bound
+
+
+def deviation_exceeds(count: int, n: int, p: Fraction) -> bool:
+    """Decide |count - n p| > n^(3/5) exactly."""
+    return _deviates(n, Fraction(p))(count)
 
 
 #: Largest tail-check block length: the check at n = 2000, p = 1/97 takes
@@ -70,7 +72,7 @@ def chebyshev_tail_check(n: int, p: Fraction) -> Verdict:
         raise CapabilityError(
             f"tail check capped at n * digits(denominator of p) = {MAX_TAIL_DIGITS}, got {n} * {digits}"
         )
-    deviating = [c for c in range(n + 1) if deviation_exceeds(c, n, p)]
+    deviating = list(filter(_deviates(n, p), range(n + 1)))
     masses, den = class_masses(p.numerator, p.denominator - p.numerator, n, 0)
     mu = Fraction(sum(masses[c] for c in deviating), den)
     ok = mu.numerator ** 5 * n < mu.denominator ** 5

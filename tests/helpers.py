@@ -274,7 +274,7 @@ def level(table, length: int) -> list[tuple[str, Fraction]]:
     """(word, value) pairs of a measure or test table at one level, in word order."""
     if not 0 <= length <= table.depth:
         raise ValueError("level out of range")
-    den = table.dens[length]
+    den = table.den
     return [(x, Fraction(v, den)) for x, v in zip(all_words(length), table.nums[length])]
 
 
@@ -484,7 +484,7 @@ COPRIME_DENOMINATORS = (2, 3, 5, 7, 11, 13)
 
 def random_spec(rng: random.Random, depth: int, nesting: int = 2):
     """A Bernoulli, table or mixture spec; mixture weights and coins take
-    pairwise coprime denominators, so level denominators grow as lcms."""
+    pairwise coprime denominators, so table denominators grow as lcms."""
     kind = rng.choice(("bernoulli", "table", "mix") if nesting else ("bernoulli", "table"))
     if kind == "bernoulli":
         b = rng.choice(COPRIME_DENOMINATORS)

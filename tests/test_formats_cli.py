@@ -429,7 +429,7 @@ def test_parse_test_file_matches_from_partial(tmp_path_factory, case):
         assert str(raised.value) == f"bad test file {path!r}: {exc}"
         return
     test = parse_test_file(path)
-    assert (test.depth, test.nums, test.dens) == (expected.depth, expected.nums, expected.dens)
+    assert (test.depth, test.nums, test.den) == (expected.depth, expected.nums, expected.den)
     assert by_word(test) == reference_from_partial(depth, values)
 
 
@@ -469,7 +469,6 @@ def test_parse_test_file_matches_the_line_by_line_reading(tmp_path_factory, case
     path = write(folder, "t.test", "\n".join([f"test {depth}", *lines]) + "\n")
     test = parse_test_file(path)
     assert by_word(test) == reference_parse_test_file(path)
-    assert test.dens == [test.dens[0]] * (depth + 1)
     path = write(folder, "bad.test", "\n".join([f"test {depth}", *lines[:at], fault, *lines[at:]]) + "\n")
     try:
         expected = reference_parse_test_file(path)

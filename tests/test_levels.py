@@ -26,14 +26,25 @@ from helpers import (
     reference_level_averages,
     reference_martingale_failures,
     reference_prob_bound,
+    reference_pushdown,
     reference_realize,
     reference_sparsity,
 )
 from randlab.bernoulli import extend_by_monotonicity
-from randlab.coupling import sparsity_value, submask_hull
+from randlab.coupling import pushdown_measure, sparsity_value, submask_hull
 from randlab.exact import INF, fmt
 from randlab.formats import parse_test_file
-from randlab.measures import CapabilityError, DyadicMeasure, MeasureError, all_words, prefixes, realize
+from randlab.measures import (
+    Bernoulli,
+    CapabilityError,
+    DyadicMeasure,
+    MeasureError,
+    Mixture,
+    all_words,
+    point_mass,
+    prefixes,
+    realize,
+)
 from randlab.randtests import (
     ExtendedTest,
     from_weights,
@@ -98,7 +109,7 @@ def test_from_partial_matches_the_dict_walk(seed, depth):
 def test_measures_and_tests_read_a_mapping_into_the_same_table(seed, depth):
     mass = by_word(realize(random_spec(random.Random(seed * 31 + depth), depth), depth))
     measure, test = DyadicMeasure(depth, mass), ExtendedTest(depth, mass)
-    assert (measure.nums, measure.dens) == (test.nums, test.dens)
+    assert (measure.nums, measure.den) == (test.nums, test.den)
     for k in range(depth + 1):
         assert level(test, k) == level(measure, k) == [(x, mass[x]) for x in all_words(k)]
         shallow = {x: v for x, v in mass.items() if len(x) <= k}
@@ -235,6 +246,70 @@ def test_every_test_builder_gives_nonnegative_rows(tmp_path, seed, depth):
     tests += [bounded, prob_to_avg_convert(bounded, measure)[0], extend_by_monotonicity(below_one, depth + 2)]
     tests += [test.truncated(k) for test in list(tests) for k in range(depth + 1)]
     assert all(min(row) >= 0 for test in tests for row in test.nums)
+
+
+# Inputs of the constructor cases below, at depth 3; their denominators are
+# coprime, so a table over one denominator has to take their lcm.
+LEAVES = {"000": F(1, 6), "011": F(1, 3), "101": F(1, 4), "111": F(1, 4)}
+LISTED = {"": F(1, 2), "01": F(3), "110": F(7, 5)}
+WEIGHTS = {"": F(1, 3), "1": F(1, 2), "011": F(2, 7)}
+TABLE = DyadicMeasure.from_leaves(3, LEAVES)
+NESTED = Mixture((F(1, 3), F(2, 3)), (Bernoulli(F(1, 5)), Mixture((F(1, 7), F(6, 7)), (Bernoulli(F(3, 7)), TABLE))))
+COIN = realize(Bernoulli(F(2, 3)), 3)
+
+
+def _written(tmp_path, listed):
+    path = tmp_path / "listed.test"
+    path.write_text("test 3\n" + "".join(f"{x or '-'} {v}\n" for x, v in listed.items()), encoding="ascii")
+    return str(path)
+
+
+TABLE_CASES = {
+    # name: tmp_path -> (table, its every prefix's value read word by word)
+    "measure-mapping": lambda _: (DyadicMeasure(3, reference_realize(NESTED, 3)), reference_realize(NESTED, 3)),
+    "test-mapping": lambda _: (ExtendedTest(3, reference_from_partial(3, LISTED)), reference_from_partial(3, LISTED)),
+    "from-partial": lambda _: (ExtendedTest.from_partial(3, LISTED), reference_from_partial(3, LISTED)),
+    "from-weights": lambda _: (
+        from_weights(WEIGHTS, COIN, 3),
+        {x: sum((w for y, w in WEIGHTS.items() if x.startswith(y)), F(0)) for x in prefixes(3)},
+    ),
+    "from-leaves": lambda _: (TABLE, reference_fold({x: LEAVES.get(x, F(0)) for x in all_words(3)}, 3)),
+    "parse-test-file": lambda tmp: (parse_test_file(_written(tmp, LISTED)), reference_from_partial(3, LISTED)),
+    "realize-coin-0": lambda _: (realize(Bernoulli(F(0)), 4), reference_realize(Bernoulli(F(0)), 4)),
+    "realize-coin-1/2": lambda _: (realize(Bernoulli(F(1, 2)), 4), reference_realize(Bernoulli(F(1, 2)), 4)),
+    "realize-coin-97/100": lambda _: (realize(Bernoulli(F(97, 100)), 4), reference_realize(Bernoulli(F(97, 100)), 4)),
+    "realize-table": lambda _: (realize(TABLE, 2), reference_realize(TABLE, 2)),
+    "realize-nested-mix": lambda _: (realize(NESTED, 3), reference_realize(NESTED, 3)),
+    "point-mass": lambda _: (point_mass("0110", 3), {x: F("0110".startswith(x)) for x in prefixes(3)}),
+    "truncated": lambda _: (realize(NESTED, 3).truncated(1), reference_realize(NESTED, 1)),
+    "convert": lambda _: (
+        prob_to_avg_convert(from_weights(WEIGHTS, COIN, 3), COIN)[0],
+        reference_convert(by_word(from_weights(WEIGHTS, COIN, 3)), by_word(COIN), 3)[0],
+    ),
+    "bernoulli-extend": lambda _: (
+        extend_by_monotonicity(ExtendedTest.from_partial(2, {"1": F(2, 3), "11": F(1)}), 5),
+        reference_from_partial(5, {"1": F(2, 3), "11": F(1)}),
+    ),
+    "pushdown": lambda _: (
+        pushdown_measure({x: F(i % 3, 5) for i, x in enumerate(all_words(3))}, F(2, 7), 3)[0],
+        reference_fold(reference_pushdown({x: F(i % 3, 5) for i, x in enumerate(all_words(3))}, F(2, 7), 3), 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_every_table_is_its_rows_over_one_denominator(tmp_path, name):
+    table, expected = TABLE_CASES[name](tmp_path)
+    assert type(table.den) is int and table.den > 0
+    assert [len(row) for row in table.nums] == [2 ** k for k in range(table.depth + 1)]
+    assert all(type(v) is int for row in table.nums for v in row)
+    assert by_word(table) == expected
+
+
+@pytest.mark.parametrize("p", [F(0), F(1), F(1, 2), F(1, 97), F(3, 7), F(97, 100)])
+@pytest.mark.parametrize("depth", [0, 1, 5, 16])
+def test_a_coin_table_is_over_b_to_the_depth(p, depth):
+    assert realize(Bernoulli(p), depth).den == p.denominator ** depth
 
 
 @pytest.mark.parametrize(

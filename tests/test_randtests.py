@@ -16,7 +16,7 @@ from helpers import (
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
 from randlab.machines import PrefixMachine, canonical_machine
-from randlab.measures import Bernoulli, DyadicMeasure, all_words, point_mass, realize
+from randlab.measures import Bernoulli, DyadicMeasure, all_words, point_mass, prefixes, realize
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     ExtendedTest,
@@ -61,12 +61,34 @@ def test_validate_reports_a_non_monotone_child_and_names_it():
     assert report.witness == "monotonicity fails at '0'"
 
 
-def test_validate_antichain_generalization():
-    T = from_weights({"1": F(2)}, UNIFORM2, 2)
-    report = validate_extended_test(T, UNIFORM2, antichain=["0", "10", "11"])
-    assert report.ok
-    bad = validate_extended_test(T, UNIFORM2, antichain=["1", "10"])
-    assert not bad.ok and "antichain" in bad.witness
+@st.composite
+def prefix_free_sets(draw, depth: int) -> list[str]:
+    """A random antichain of words of length <= depth, grown down the tree."""
+    def grow(x: str) -> list[str]:
+        if len(x) < depth and draw(st.booleans()):
+            return grow(x + "0") + grow(x + "1")
+        return [x] if draw(st.booleans()) else []
+
+    return grow("")
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 5), st.data())
+def test_a_valid_test_sums_to_at_most_one_over_a_prefix_free_set(seed, depth, data):
+    # sum_{x in A} P(x) T(x) <= 1 for a valid test T and a prefix-free A; the
+    # weights are scaled to budget 1, so the leaf level sums to exactly 1
+    rng = random.Random(seed)
+    measure = random_dyadic_measure(rng, depth)
+    mass = by_word(measure)
+    weights = {x: F(rng.randrange(1, 9), rng.randrange(1, 4)) for x in prefixes(depth) if rng.random() < 0.3}
+    budget = sum((mass[x] * w for x, w in weights.items()), F(0))
+    if budget:
+        weights = {x: w / budget for x, w in weights.items()}
+    T = from_weights(weights, measure, depth)
+    assert validate_extended_test(T, measure).ok
+    value = by_word(T)
+    members = data.draw(prefix_free_sets(depth))
+    assert sum((mass[x] * value[x] for x in members), F(0)) <= 1
+    assert sum((mass[x] * value[x] for x in all_words(depth)), F(0)) == (1 if budget else 0)
 
 
 def test_from_weights_examples():

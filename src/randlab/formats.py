@@ -108,6 +108,8 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> Measu
                     raise ParseError(
                         f"table line prefix {word_token!r} is not at depth {depth}"
                     )
+                if word in leaves:
+                    raise ParseError(f"duplicate prefix {format_word(word)!r} in {path!r}")
                 leaves[word] = parse_rational(value_token)
             return DyadicMeasure.from_leaves(depth, leaves)
         if head[0] == "mix" and len(head) == 1:

@@ -275,14 +275,15 @@ class DyadicMeasure(_PrefixTable):
 
     @classmethod
     def from_leaves(cls, depth: int, leaves: Mapping[str, Fraction]) -> "DyadicMeasure":
-        """Build a table from level-`depth` masses, deriving interior masses.
-
-        Entries that are not binary words of length `depth` are ignored.
-        """
+        """Build a table from level-`depth` masses (0 where unlisted),
+        deriving interior masses.  Refuses an entry that is not a binary
+        word of length `depth` with a ValueError naming it."""
         row = [0] * (1 << _capped(depth))
-        given = {x: Fraction(v) for x, v in leaves.items() if len(x) == depth and not x.strip("01")}
-        scaled, den = _common_denominator(given.values())
-        for x, v in zip(given, scaled):
+        for x in leaves:
+            if len(validate_bits(x)) != depth:
+                raise ValueError(f"leaf {x!r} is not at depth {depth}")
+        scaled, den = _common_denominator(map(Fraction, leaves.values()))
+        for x, v in zip(leaves, scaled):
             row[_index(x)] = v
         measure = cls._of_levels(fold_up(row, _sums), den)
         err = measure._bounds_error()

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
-from .exact import Ext, _common_denominator, div_ratio
+from .exact import _common_denominator
 from .machines import PrefixMachine
 from .measures import CapabilityError, validate_bits
 
@@ -25,7 +25,6 @@ __all__ = [
     "NeutralInvariantError",
     "PointMixture",
     "SpernerCell",
-    "mixture_deficiency",
     "sperner_search",
 ]
 
@@ -70,47 +69,6 @@ class SpernerCell:
     diameter: Fraction
 
 
-def mixture_deficiency(
-    weights: PointMixture | Sequence[Fraction],
-    sequences: Sequence[str],
-    i: int,
-    machine: PrefixMachine,
-    depth: int,
-) -> Ext:
-    """Deficiency of sequence i against the mixture: the sum over its
-    prefixes (up to `depth`) of machine mass divided by mixture mass.
-
-    Infinite as soon as some prefix of sequence i has machine mass but no
-    mixture mass.
-    """
-    mix = weights if isinstance(weights, PointMixture) else PointMixture(tuple(weights))
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if not 0 <= i < len(sequences):
-        raise ValueError("sequence index out of range")
-    if len(mix.weights) != len(sequences):
-        raise ValueError("one weight per sequence required")
-    for omega in sequences:
-        validate_bits(omega)
-        if len(omega) < depth:
-            raise ValueError("every sequence must be at least `depth` long")
-    mass = machine.output_mass()
-    omega_i = sequences[i]
-    total: Ext = Fraction(0)
-    for length in range(depth + 1):
-        x = omega_i[:length]
-        m = mass.get(x, Fraction(0))
-        if m == 0:
-            continue
-        mix_mass = sum(
-            (w for w, omega in zip(mix.weights, sequences) if omega.startswith(x)),
-            Fraction(0),
-        )
-        ratio, _ = div_ratio(m, mix_mass)
-        total = total + ratio
-    return total
-
-
 def _grid_points(k: int, m: int) -> Iterator[tuple[int, ...]]:
     """Integer barycentric points, nonnegative k-tuples summing to m, in sorted order."""
     if k == 1:
@@ -142,8 +100,9 @@ def _labeller(
     sequences: Sequence[str], machine: PrefixMachine, depth: int, m: int
 ) -> Callable[[tuple[int, ...]], tuple[int, int, int]]:
     """The Sperner label of a grid point (counts c summing to m) and its value,
-    as integers `(label, num, den)`: the smallest supported i with
-    `mixture_deficiency` num/den at most 1.
+    as integers `(label, num, den)`: the smallest supported i whose
+    deficiency num/den, the sum over the prefixes of sequence i up to
+    `depth` of machine mass over mixture mass, is at most 1.
 
     Every prefix x of sequence i with machine mass lies in the cylinders of
     the sequences sharing x, a set S that always holds i.  Grouping the

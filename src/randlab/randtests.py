@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .exact import INF, Ext, _common_denominator, ceil_log2, div_ratio, fmt, is_inf, mul_nonneg
+from .exact import INF, Ext, _common_denominator, ceil_log2, div_ratio, fmt, is_inf
 from .machines import MonotoneMachine, PrefixMachine, monotone_output_prob
 from .measures import (
     MAX_DEPTH,
@@ -244,28 +244,6 @@ def from_weights(
     return ExtendedTest._of_levels(*_spread(levels, nums, den, _sums))
 
 
-def _running_sums(machine: PrefixMachine, measure: DyadicMeasure) -> list[list[tuple[Ext, bool]]]:
-    """Levels 0..measure depth of (running sum of m(t)/P(t) over the
-    prefixes t of a word, flag): the flag marks a 0/0 ratio somewhere on
-    the path, which is taken as 0 by convention."""
-    mass = machine.output_mass()
-
-    def ratios(length: int) -> list[tuple[Ext, bool]]:
-        den = measure.den
-        return [
-            div_ratio(mass.get(x, Fraction(0)), Fraction(p, den))
-            for x, p in zip(all_words(length), measure.nums[length])
-        ]
-
-    def step(parent: list[tuple[Ext, bool]], length: int) -> list[tuple[Ext, bool]]:
-        return [
-            (parent[i >> 1][0] + ratio, parent[i >> 1][1] or flagged)
-            for i, (ratio, flagged) in enumerate(ratios(length))
-        ]
-
-    return fill_down(measure.depth, ratios(0)[0], step)
-
-
 @dataclass
 class ProfileRow:
     prefix: str
@@ -314,43 +292,50 @@ def deficiency_profile(
 ) -> DeficiencyProfile:
     """Per-prefix deficiency quantities along the path to x.
 
-    The running sum of m(t)/P(t) defines a test on the whole tree; its
-    minimal extension and conditional average at each prefix of x are
-    reported next to the raw ratio, the running sup and, when a monotone
-    machine is supplied, M(t)/P(t).
+    The running sum of m(t)/P(t) is the :func:`from_weights` test of the
+    weights m(t)/P(t) on the outputs t with P(t) > 0, whose budget is the
+    machine's Kraft sum, and `inf` below an output of mass 0.  Its minimal
+    extension and conditional average at each prefix of x are reported next
+    to the raw ratio, the running sup and, when a monotone machine is
+    supplied, M(t)/P(t).
     """
     validate_bits(x)
     if len(x) > measure.depth:
         raise ValueError("prefix deeper than measure table")
-    sums = _running_sums(machine, measure)
     depth = measure.depth
-    leaves = [v for v, _ in sums[depth]]
-    # finite: a leaf with mass has finite running sum, and mul_nonneg zeroes the rest
-    weighted = [mul_nonneg(Fraction(p, measure.den), v) for p, v in zip(measure.nums[depth], leaves)]
+    mass = machine.output_mass()
+    outputs = {t: measure.mass(t) for t in mass if len(t) <= depth}
+    test = from_weights({t: mass[t] / p for t, p in outputs.items() if p}, measure, depth)
+    finite = bytearray(b"\x01") * (1 << depth)  # 0 below an output of mass 0
+    for t, p in outputs.items():
+        if not p:
+            finite[_span(t, depth)] = bytes(1 << (depth - len(t)))
     horizon = monotone.max_program_length() if monotone is not None else 0
 
     rows = []
     running_sup: Ext = Fraction(0)
-    mass = machine.output_mass()
+    flagged = False
     for length in range(len(x) + 1):
         t = x[:length]
-        ratio, _ = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
+        ratio, zero_over_zero = div_ratio(mass.get(t, Fraction(0)), measure.mass(t))
         running_sup = max(running_sup, ratio)
-        that, _ = div_ratio(sum(_cylinder(weighted, t, depth), Fraction(0)), measure.mass(t))
+        flagged = flagged or zero_over_zero
         mono_ratio: Optional[Ext] = None
         if monotone is not None:
             mono_ratio, _ = div_ratio(monotone_output_prob(monotone, t, horizon), measure.mass(t))
-        running_sum, flagged = sums[length][_index(t)]
+        running_sum = INF if is_inf(running_sup) else test.value(t)
         if running_sup > running_sum:
             raise AssertionError("running sup exceeded running sum")
+        cylinder = _span(t, depth)
+        tbar = min(compress(test.nums[-1][cylinder], finite[cylinder]), default=None)
         rows.append(
             ProfileRow(
                 prefix=t,
                 m_ratio=ratio,
                 running_sum=running_sum,
                 running_sup=running_sup,
-                tbar=min(_cylinder(leaves, t, depth)),
-                that=that,
+                tbar=INF if tbar is None else Fraction(tbar, test.den),
+                that=conditional_average(test, measure, t),
                 mono_ratio=mono_ratio,
                 flagged=flagged,
             )
@@ -363,14 +348,14 @@ def min_extension(test: ExtendedTest, x: str) -> Fraction:
     validate_bits(x)
     if len(x) > test.depth:
         raise ValueError("prefix deeper than test")
-    return Fraction(min(_cylinder(test.nums[-1], x, test.depth)), test.den)
+    return Fraction(min(test.nums[-1][_span(x, test.depth)]), test.den)
 
 
-def _cylinder(row: list[int], x: str, depth: int) -> list[int]:
-    """The slice of a level-`depth` row under the cylinder at x."""
+def _span(x: str, depth: int) -> slice:
+    """The positions of a level-`depth` row under the cylinder at x."""
     tail = depth - len(x)
     start = _index(x) << tail
-    return row[start : start + (1 << tail)]
+    return slice(start, start + (1 << tail))
 
 
 def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> Fraction:
@@ -383,7 +368,8 @@ def conditional_average(test: ExtendedTest, measure: DyadicMeasure, x: str) -> F
     if not len(x) <= test.depth <= measure.depth:
         raise ValueError("need |x| <= test depth <= measure depth")
     depth = test.depth
-    weighted = _dot(_cylinder(measure.nums[depth], x, depth), _cylinder(test.nums[depth], x, depth))
+    cylinder = _span(x, depth)
+    weighted = _dot(measure.nums[depth][cylinder], test.nums[depth][cylinder])
     value, _ = div_ratio(Fraction(weighted, measure.den * test.den), measure.mass(x))
     return value
 

@@ -9,9 +9,10 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from randlab.coupling import is_coupled_below, pushdown_measure
-from randlab.exact import INF, div_ratio, fmt, mul_nonneg, parse_rational
+from randlab.exact import INF, Ext, div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import ParseError
 from randlab.machines import MonotoneMachine, PrefixMachine
 from randlab.measures import (
@@ -24,7 +25,7 @@ from randlab.measures import (
     realize,
     validate_bits,
 )
-from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell, mixture_deficiency
+from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell
 from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
@@ -159,6 +160,34 @@ def sum_test_values(machine: PrefixMachine, measure: DyadicMeasure) -> tuple[dic
         values[x] = values[x[:-1]] + ratio if x else ratio
         flags[x] = flagged or (x != "" and flags[x[:-1]])
     return values, flags
+
+
+def reference_profile_rows(machine: PrefixMachine, monotone, measure: DyadicMeasure, x: str) -> list[tuple]:
+    """The nine report cells of `deficiency_profile` along x, word by word
+    from `sum_test_values`: T-bar is the least running sum over the leaves
+    of the prefix's cylinder, T-hat the sum of mul_nonneg(P(y), S(y)) over
+    those leaves divided by the prefix's mass with `div_ratio`."""
+    values, flags = sum_test_values(machine, measure)
+    mass = machine.output_mass()
+    horizon = monotone.max_program_length() if monotone is not None else 0
+    rows, sup = [], Fraction(0)
+    for length in range(len(x) + 1):
+        t = x[:length]
+        p = measure.mass(t)
+        ratio, _ = div_ratio(mass.get(t, Fraction(0)), p)
+        sup = max(sup, ratio)
+        leaves = [t + y for y in all_words(measure.depth - length)]
+        weighted = sum((mul_nonneg(measure.mass(y), values[y]) for y in leaves), Fraction(0))
+        mono = "-" if monotone is None else fmt(div_ratio(reference_monotone_output_prob(monotone, t, horizon), p)[0])
+        if values[t] is INF:
+            last = "inf"
+        else:
+            last = fmt(values[t] / sup) if sup is not INF and sup > 0 else "-"
+        rows.append((
+            t or "-", fmt(ratio), fmt(values[t]), fmt(sup), fmt(min(values[y] for y in leaves)),
+            fmt(div_ratio(weighted, p)[0]), mono, "flagged" if flags[t] else "ok", last,
+        ))
+    return rows
 
 
 def bernoulli_mass(p: Fraction, x: str) -> Fraction:
@@ -504,6 +533,48 @@ def random_listed(rng: random.Random, depth: int, inf: bool = False) -> dict:
         x = random_word(rng, rng.randint(0, depth))
         listed[x] = INF if inf and rng.random() < 0.2 else Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7)))
     return listed
+
+
+def mixture_deficiency(
+    weights: PointMixture | Sequence[Fraction],
+    sequences: Sequence[str],
+    i: int,
+    machine: PrefixMachine,
+    depth: int,
+) -> Ext:
+    """Deficiency of sequence i against the mixture: the sum over its
+    prefixes (up to `depth`) of machine mass divided by mixture mass, word
+    by word: the definition that `neutral._labeller` must agree with.
+
+    Infinite as soon as some prefix of sequence i has machine mass but no
+    mixture mass.
+    """
+    mix = weights if isinstance(weights, PointMixture) else PointMixture(tuple(weights))
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if not 0 <= i < len(sequences):
+        raise ValueError("sequence index out of range")
+    if len(mix.weights) != len(sequences):
+        raise ValueError("one weight per sequence required")
+    for omega in sequences:
+        validate_bits(omega)
+        if len(omega) < depth:
+            raise ValueError("every sequence must be at least `depth` long")
+    mass = machine.output_mass()
+    omega_i = sequences[i]
+    total: Ext = Fraction(0)
+    for length in range(depth + 1):
+        x = omega_i[:length]
+        m = mass.get(x, Fraction(0))
+        if m == 0:
+            continue
+        mix_mass = sum(
+            (w for w, omega in zip(mix.weights, sequences) if omega.startswith(x)),
+            Fraction(0),
+        )
+        ratio, _ = div_ratio(m, mix_mass)
+        total = total + ratio
+    return total
 
 
 def reference_sperner_search(sequences, machine: PrefixMachine, depth: int, resolution: int) -> SpernerCell:

@@ -14,6 +14,7 @@ from pathlib import Path
 from helpers import (
     check_pushdown,
     level,
+    mixture_deficiency,
     monotone_output,
     poly_at,
     random_dyadic_measure,
@@ -34,7 +35,7 @@ from randlab.exact import div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import parse_measure_spec_file
 from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total, tiny_machine
 from randlab.measures import DyadicMeasure, all_words, realize, shipped_measure_specs
-from randlab.neutral import mixture_deficiency, sperner_search
+from randlab.neutral import sperner_search
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     deficiency_profile,

@@ -558,6 +558,7 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["validate-measure", "t2.measure", "--depth", "2"], "table line prefix '0' is not at depth 2"),
         (["machine-info", "dup.machine"], "duplicate program '0' in 'dup.machine'"),
         (["neutral", "s.seq", "s.seq", "--machine", "m.machine"], "neutral search needs a prefix machine"),
+        (["validate-measure", "dup.measure", "--depth", "1"], "duplicate prefix '0' in 'dup.measure'"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -569,6 +570,7 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
     write(tmp_path, "m.machine", "monotone\n- -\n0 0\n")
     write(tmp_path, "t2.measure", "table 2\n00 1/2\n0 1/2\n")
     write(tmp_path, "dup.machine", "0 1\n0 1\n")
+    write(tmp_path, "dup.measure", "table 1\n0 1/3\n0 1/2\n1 1/2\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")

@@ -96,6 +96,18 @@ def test_from_leaves_names_an_interior_offender():
     assert reference_check(reference_fold(leaves, 2), 2)[1] == "0"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("2", "not a binary word: '2'"), ("00", "leaf '00' is not at depth 1"), ("", "leaf '' is not at depth 1")],
+)
+def test_from_leaves_refuses_an_entry_off_its_level(entry, message):
+    # the uniform table's leaves plus one entry that is not a leaf word
+    leaves = {"0": F(1, 2), "1": F(1, 2), entry: F(5)}
+    with pytest.raises(ValueError) as err:
+        DyadicMeasure.from_leaves(1, leaves)
+    assert str(err.value) == message and not isinstance(err.value, MeasureError)
+
+
 @pytest.mark.parametrize("seed,depth", CASES)
 def test_from_partial_matches_the_dict_walk(seed, depth):
     rng = random.Random(seed * 41 + depth)

@@ -5,14 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_sperner_search
+from helpers import mixture_deficiency, reference_sperner_search
 from randlab.exact import is_inf
 from randlab.machines import PrefixMachine, canonical_machine
 from randlab.neutral import (
     PointMixture,
     _grid_points,
     _labeller,
-    mixture_deficiency,
     sperner_search,
 )
 

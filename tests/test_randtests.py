@@ -11,12 +11,14 @@ from helpers import (
     random_monotone_machine,
     random_monotone_test,
     random_prefix_machine,
+    random_word,
+    reference_profile_rows,
     sum_test_values,
 )
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
-from randlab.machines import PrefixMachine, canonical_machine
-from randlab.measures import Bernoulli, DyadicMeasure, all_words, point_mass, prefixes, realize
+from randlab.machines import PrefixMachine, canonical_machine, tiny_machine
+from randlab.measures import Bernoulli, DyadicMeasure, Mixture, all_words, point_mass, prefixes, realize
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     ExtendedTest,
@@ -357,6 +359,55 @@ def test_deficiency_profile_reads_its_running_sum_test():
             assert row.that == conditional_average(T, measure, row.prefix)
             rows += 1
     assert rows > 100
+
+
+def _measure_of_kind(rng: random.Random, kind: str, depth: int) -> DyadicMeasure:
+    """A measure of one kind; all but `full` can leave a prefix without mass."""
+    if kind == "full":
+        mass = {"": F(1)}
+        for length in range(depth):
+            for x in all_words(length):
+                theta = F(rng.randint(1, 6), 7)
+                mass[x + "0"], mass[x + "1"] = mass[x] * (1 - theta), mass[x] * theta
+        return DyadicMeasure(depth, mass)
+    if kind == "coin":
+        return realize(Bernoulli(rng.choice((F(0), F(1, 3), F(2, 3), F(1)))), depth)
+    if kind == "point":
+        return point_mass(random_word(rng, depth), depth)
+    if kind == "sparse":
+        chosen = rng.sample(all_words(depth), min(rng.randint(1, 3), 2 ** depth))
+        shares = [rng.randint(1, 5) for _ in chosen]
+        return DyadicMeasure.from_leaves(depth, {x: F(v, sum(shares)) for x, v in zip(chosen, shares)})
+    weight = F(rng.randint(1, 3), 4)
+    parts = (Bernoulli(F(rng.randint(0, 1))), Bernoulli(F(rng.randint(0, 5), 5)))
+    return realize(Mixture((weight, 1 - weight), parts), depth)
+
+
+@pytest.mark.parametrize("kind", ["full", "coin", "point", "sparse", "mix"])
+def test_deficiency_profile_matches_the_word_by_word_sums(kind):
+    # Without full support an output t can have P(t) = 0: the running sum is
+    # inf on its cylinder, T-bar skips those leaves (inf when all are such)
+    # and T-hat gives them no mass.
+    rng = random.Random(kind)
+    rows = inf_tbar = skipped = 0
+    for _ in range(60):
+        depth = rng.randint(0, 7)
+        measure = _measure_of_kind(rng, kind, depth)
+        machine = (random_prefix_machine(rng, 5, 6), canonical_machine(), tiny_machine())[rng.randrange(3)]
+        monotone = random_monotone_machine(rng) if rng.random() < 0.5 else None
+        x = random_word(rng, rng.randint(0, depth))
+        expected = reference_profile_rows(machine, monotone, measure, x)
+        assert deficiency_profile(machine, monotone, measure, x).tsv_rows() == expected
+        values, _ = sum_test_values(machine, measure)
+        for row in expected:
+            t = row[0].strip("-")
+            leaves = [values[t + y] for y in all_words(depth - len(t))]
+            inf_tbar += row[4] == "inf"
+            skipped += row[4] != "inf" and any(map(is_inf, leaves))
+            rows += 1
+    assert rows > 150
+    if kind != "full":
+        assert inf_tbar > 0 and skipped > 0
 
 
 def test_sum_test_is_average_bounded():

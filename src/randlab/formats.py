@@ -75,58 +75,67 @@ def _meaningful_lines(text: str) -> list[str]:
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
-def parse_measure_spec_file(path: str, including: tuple[str, ...] = ()) -> MeasureSpec:
+def _pairs(lines: Iterable[str], path: str, kind: str, maxsplit: int = -1) -> Iterator[list[str]]:
+    """The two tokens of each line; any other count is a bad `kind` line."""
+    for line in lines:
+        tokens = line.split(None, maxsplit)
+        if len(tokens) != 2:
+            raise ParseError(f"bad {kind} line {line!r} in {path!r}")
+        yield tokens
+
+
+def parse_measure_spec_file(path: str, including: tuple[str, ...] = (), parsed: dict | None = None) -> MeasureSpec:
     """One construct per file: `bernoulli p` | `table depth` + leaf lines |
     `mix` + weighted sub-spec lines (paths relative to this file).
 
     `including` holds the resolved paths of the `mix` files whose parsing is
     still open above this one; a file that includes itself, directly or
     through others, or that sits below more than `MAX_MIX_NESTING` of them,
-    is a parse error.  A file may appear under several parents.
+    is a parse error.  A file may appear under several parents: `parsed`
+    keeps the spec read at each (resolved path, nesting), read there once.
     """
     resolved = os.path.realpath(path)
     if resolved in including:
         raise ParseError(f"measure spec {path!r} includes itself")
     if len(including) > MAX_MIX_NESTING:
-        raise ParseError(
-            f"measure spec {path!r} is nested below more than {MAX_MIX_NESTING} mix files"
-        )
+        raise ParseError(f"measure spec {path!r} is nested below more than {MAX_MIX_NESTING} mix files")
+    parsed = {} if parsed is None else parsed
+    key = (resolved, len(including))
+    if key in parsed:
+        return parsed[key]
     lines = _meaningful_lines(_read(path, "measure spec"))
     if not lines:
         raise ParseError(f"empty measure spec {path!r}")
     head = lines[0].split()
     try:
         if head[0] == "bernoulli" and len(head) == 2:
-            return Bernoulli(parse_rational(head[1]))
-        if head[0] == "table" and len(head) == 2:
+            spec = Bernoulli(parse_rational(head[1]))
+        elif head[0] == "table" and len(head) == 2:
             depth = int(head[1])
             leaves: dict[str, Fraction] = {}
-            for line in lines[1:]:
-                word_token, value_token = line.split()
+            for word_token, value_token in _pairs(lines[1:], path, "table"):
                 word = parse_word(word_token)
                 if len(word) != depth:
-                    raise ParseError(
-                        f"table line prefix {word_token!r} is not at depth {depth}"
-                    )
+                    raise ParseError(f"table line prefix {word_token!r} is not at depth {depth}")
                 if word in leaves:
                     raise ParseError(f"duplicate prefix {format_word(word)!r} in {path!r}")
                 leaves[word] = parse_rational(value_token)
-            return DyadicMeasure.from_leaves(depth, leaves)
-        if head[0] == "mix" and len(head) == 1:
-            weights = []
-            parts = []
+            spec = DyadicMeasure.from_leaves(depth, leaves)
+        elif head[0] == "mix" and len(head) == 1:
+            weights, parts = [], []
             base = os.path.dirname(os.path.abspath(path))
-            for line in lines[1:]:
-                weight_token, sub = line.split(maxsplit=1)
+            for weight_token, sub in _pairs(lines[1:], path, "mix", maxsplit=1):
                 weights.append(parse_rational(weight_token))
-                sub_path = sub if os.path.isabs(sub) else os.path.join(base, sub)
-                parts.append(parse_measure_spec_file(sub_path, including + (resolved,)))
-            return Mixture(tuple(weights), tuple(parts))
+                parts.append(parse_measure_spec_file(os.path.join(base, sub), including + (resolved,), parsed))
+            spec = Mixture(tuple(weights), tuple(parts))
+        else:
+            raise ParseError(f"unrecognized measure spec header {lines[0]!r} in {path!r}")
     except (ParseError, MeasureError, CapabilityError):
         raise  # a bad table is a certified violation, not a parse failure
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad measure spec {path!r}: {exc}") from exc
-    raise ParseError(f"unrecognized measure spec header {lines[0]!r} in {path!r}")
+    parsed[key] = spec
+    return spec
 
 
 def parse_sequence_file(path: str) -> str:
@@ -141,15 +150,8 @@ def parse_sequence_file(path: str) -> str:
 def parse_machine_file(path: str) -> PrefixMachine | MonotoneMachine:
     """Lines `<program> <output>`; a leading `monotone` line switches kinds."""
     lines = _meaningful_lines(_read(path, "machine"))
-    monotone = bool(lines) and lines[0] == "monotone"
-    if monotone:
-        lines = lines[1:]
-    pairs = []
-    for line in lines:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"bad machine line {line!r} in {path!r}")
-        pairs.append((parse_word(tokens[0]), parse_word(tokens[1])))
+    monotone = lines[:1] == ["monotone"]
+    pairs = [(parse_word(p), parse_word(o)) for p, o in _pairs(lines[monotone:], path, "machine")]
     if monotone:
         return MonotoneMachine(pairs)
     table: dict[str, str] = {}
@@ -172,8 +174,8 @@ def parse_test_file(path: str) -> ExtendedTest:
     `randtests._closure`: a word deeper than the header, a negative value,
     the depth cap.
     """
-    lines = iter(_read(path, "test").splitlines())
-    header = next((line for line in map(str.strip, lines) if line and line[0] != "#"), "")
+    lines = iter(_meaningful_lines(_read(path, "test")))
+    header = next(lines, "")
     head = header.split()
     if not head or head[0] != "test":
         raise ParseError(f"test file {path!r} must start with `test <depth>`")
@@ -187,17 +189,8 @@ def parse_test_file(path: str) -> ExtendedTest:
     positions: dict[str, int] = {}
     values: list[Fraction] = []
     negative = None
-    for line in lines:
-        try:
-            word, token = line.split()
-        except ValueError:  # a blank line, a comment, or not two tokens
-            tokens = line.split()
-            if tokens and tokens[0][0] != "#":
-                raise ParseError(f"bad test line {line.strip()!r} in {path!r}") from None
-            continue
-        if word.strip("01"):  # a comment, the empty word `-`, or not a word
-            if word[0] == "#":
-                continue
+    for word, token in _pairs(lines, path, "test"):
+        if word.strip("01"):  # the empty word `-`, or not a word
             word = parse_word(word)
         try:
             level = levels[len(word)]

@@ -8,6 +8,7 @@ is attempted.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -72,6 +73,10 @@ class PrefixMachine:
         return f"PrefixMachine({len(self.entries)} entries)"
 
 
+def _comparable(u: str, v: str) -> bool:
+    return u.startswith(v) or v.startswith(u)
+
+
 class MonotoneMachine:
     """Finite set of (program, output) pairs, consistent on comparable programs."""
 
@@ -79,19 +84,28 @@ class MonotoneMachine:
 
     def __init__(self, entries: Iterable[tuple[str, str]]):
         pairs = sorted({(validate_bits(p), validate_bits(o)) for p, o in entries})
-        for i, (p, out) in enumerate(pairs):
-            # The later pairs whose program is comparable to p are those
-            # extending p, and in sorted order they directly follow pair i.
-            for j in range(i + 1, len(pairs)):
-                q, out2 = pairs[j]
-                if not q.startswith(p):
-                    break
-                if not (out.startswith(out2) or out2.startswith(out)):
-                    raise MachineError(
-                        f"entries ({p!r} -> {out!r}) and ({q!r} -> {out2!r}) "
-                        "have comparable programs but incomparable outputs",
-                        (p, q),
-                    )
+        # One pass in program order over the open ancestors, each with the longest
+        # output up to it: an output comparable with that one is comparable with all.
+        # A conflict keeps the ancestors before the first it hits, to name the witness.
+        chain: list[tuple[str, str]] = []
+        error = None
+        for q, out in pairs:
+            while chain and not q.startswith(chain[-1][0]):
+                chain.pop()
+            longest = chain[-1][1] if chain else ""
+            if not _comparable(out, longest):
+                first = bisect_left(chain, True, key=lambda entry: not _comparable(out, entry[1]))
+                p, out_p = chain[first]
+                error = MachineError(
+                    f"entries ({p!r} -> {out_p!r}) and ({q!r} -> {out!r}) "
+                    "have comparable programs but incomparable outputs",
+                    (p, q),
+                )
+                del chain[first:]
+            elif error is None:
+                chain.append((q, max(longest, out, key=len)))
+        if error is not None:
+            raise error
         self.entries = pairs
 
     def max_program_length(self) -> int:

@@ -341,13 +341,13 @@ class Mixture:
 MeasureSpec = Union[Bernoulli, DyadicMeasure, Mixture]
 
 
-def _leaves(spec: MeasureSpec, depth: int) -> tuple[list[int], int]:
+def _leaves(spec: MeasureSpec, depth: int, rows: dict[int, tuple[list[int], int]]) -> tuple[list[int], int]:
     """The level-`depth` masses of a spec as (numerators, denominator).
 
     Bernoulli(a/b) gives each word with k ones (b-a)^(depth-k) a^k over
     b^depth, one int per class; a table gives its own level row; a mixture
     puts its parts' rows over the lcm of (weight denominator x part
-    denominator)."""
+    denominator), summing a shared part once (`rows` holds them by id)."""
     if isinstance(spec, Bernoulli):
         a, b = spec.p.numerator, spec.p.denominator
         size = 1 << _capped(depth)
@@ -358,7 +358,9 @@ def _leaves(spec: MeasureSpec, depth: int) -> tuple[list[int], int]:
             raise ValueError(f"table of depth {spec.depth} cannot realize depth {depth}")
         return spec.nums[_capped(depth)], spec.den
     if isinstance(spec, Mixture):
-        parts = [_leaves(part, depth) for part in spec.parts]
+        for part in spec.parts:
+            rows[id(part)] = rows.get(id(part)) or _leaves(part, depth, rows)
+        parts = [rows[id(part)] for part in spec.parts]
         scales = [w.denominator * den for w, (_, den) in zip(spec.weights, parts)]
         den = lcm(*scales)
         row = [0] * (1 << depth)
@@ -375,7 +377,7 @@ def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
     A table is cut at `depth`; any other spec is its leaf row (`_leaves`),
     summed up the tree by `fold_up` over that row's one denominator.
     """
-    row, den = _leaves(spec, depth)
+    row, den = _leaves(spec, depth, {})
     if isinstance(spec, DyadicMeasure):
         return spec.truncated(depth)
     return DyadicMeasure._of_levels(fold_up(row, _sums), den)

@@ -234,12 +234,12 @@ def from_weights(
             raise ValueError(f"weight on prefix {x!r} deeper than {depth}")
         if w < 0:
             raise ValueError(f"negative weight at prefix {x!r}")
-    budget = sum(
-        (measure.mass(x) * Fraction(w) for x, w in weights.items()), Fraction(0)
-    )
-    if budget > 1:
-        raise ValueError(f"weight budget exceeded: sum P*w = {budget}")
     nums, den = _common_denominator(map(Fraction, weights.values()))
+    if (deep := next((x for x in weights if len(x) > measure.depth), None)) is not None:
+        raise ValueError(f"prefix {deep!r} deeper than table depth {measure.depth}")
+    budget = sum(measure.nums[len(x)][_index(x)] * v for x, v in zip(weights, nums))
+    if budget > measure.den * den:
+        raise ValueError(f"weight budget exceeded: sum P*w = {Fraction(budget, measure.den * den)}")
     levels, _ = _by_length(_capped(depth), weights)
     return ExtendedTest._of_levels(*_spread(levels, nums, den, _sums))
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -14,10 +15,11 @@ from typing import Sequence
 from randlab.coupling import is_coupled_below, pushdown_measure
 from randlab.exact import INF, Ext, div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import ParseError
-from randlab.machines import MonotoneMachine, PrefixMachine
+from randlab.machines import MachineError, MonotoneMachine, PrefixMachine
 from randlab.measures import (
     Bernoulli,
     DyadicMeasure,
+    MeasureError,
     Mixture,
     all_words,
     block_frequency,
@@ -27,6 +29,13 @@ from randlab.measures import (
 )
 from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell
 from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
+
+def report(name: str, limit: float, started: float) -> None:
+    """Print how long a budgeted step took since `started`, and fail past `limit` seconds."""
+    elapsed = time.perf_counter() - started
+    print(f"[PASS] {name} ({elapsed:.2f}s < {limit:.0f}s)")
+    assert elapsed < limit, f"{name} exceeded its runtime budget"
+
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]
 
@@ -360,6 +369,21 @@ def reference_from_partial(depth: int, listed: dict[str, Fraction]) -> dict[str,
     return values
 
 
+def plain_lines(path: str) -> list[str]:
+    """A file's lines, stripped, without blank lines and `#` comments."""
+    with open(path, encoding="ascii") as handle:
+        lines = [line.strip() for line in handle.read().splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def reference_word(token: str) -> str:
+    """A binary word token; `-` is the empty word."""
+    word = "" if token == "-" else token
+    if word.strip("01"):
+        raise ParseError(f"not a binary word: {word!r}")
+    return word
+
+
 def reference_parse_test_file(path: str) -> dict[str, Fraction]:
     """A test file's values, word by word, read the plain way.
 
@@ -369,18 +393,14 @@ def reference_parse_test_file(path: str) -> dict[str, Fraction]:
     The errors and their messages are those of `parse_test_file`; the header
     is taken to be well formed.
     """
-    with open(path, encoding="ascii") as handle:
-        lines = [line.strip() for line in handle.read().splitlines()]
-    header, *body = [line for line in lines if line and not line.startswith("#")]
+    header, *body = plain_lines(path)
     depth = int(header.split()[1])
     listed: dict[str, Fraction] = {}
     for line in body:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"bad test line {line!r} in {path!r}")
-        word = "" if tokens[0] == "-" else tokens[0]
-        if word.strip("01"):
-            raise ParseError(f"not a binary word: {word!r}")
+        word = reference_word(tokens[0])
         if word in listed:
             raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
         listed[word] = parse_rational(tokens[1])
@@ -391,6 +411,95 @@ def reference_parse_test_file(path: str) -> dict[str, Fraction]:
         if v < 0:
             raise ParseError(f"bad test file {path!r}: negative test value at prefix {x!r}")
     return reference_from_partial(depth, listed)
+
+
+def reference_parse_table_spec(path: str) -> dict[str, Fraction]:
+    """A `table` measure spec's masses, word by word, read the plain way.
+
+    Each leaf line is checked in file order: two tokens, a binary word (`-`
+    is the empty word), a word at the header's depth, a word not listed
+    before, a rational value.  Then the masses summed up from the leaves
+    must pass `reference_check`.  The errors and their messages are those
+    of `parse_measure_spec_file`; the header is taken to be well formed.
+    """
+    header, *body = plain_lines(path)
+    depth = int(header.split()[1])
+    leaves = dict.fromkeys(all_words(depth), Fraction(0))
+    listed = set()
+    for line in body:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"bad table line {line!r} in {path!r}")
+        word = reference_word(tokens[0])
+        if len(word) != depth:
+            raise ParseError(f"table line prefix {tokens[0]!r} is not at depth {depth}")
+        if word in listed:
+            raise ParseError(f"duplicate prefix {tokens[0]!r} in {path!r}")
+        listed.add(word)
+        try:
+            leaves[word] = parse_rational(tokens[1])
+        except ValueError as exc:
+            raise ParseError(f"bad measure spec {path!r}: {exc}") from exc
+    mass = reference_fold(leaves, depth)
+    error = reference_check(mass, depth)
+    if error is not None:
+        raise MeasureError(*error)
+    return mass
+
+
+def reference_monotone_conflict(pairs) -> tuple[str, str, str, str] | None:
+    """(p, out, q, out2): the first distinct pair (p, out) in sorted order
+    whose program has an extension q with an output incomparable with out,
+    and the first such (q, out2); None for a consistent table."""
+    pairs = sorted(set(pairs))
+    for i, (p, out) in enumerate(pairs):
+        for q, out2 in pairs[i + 1 :]:
+            if q.startswith(p) and not (out.startswith(out2) or out2.startswith(out)):
+                return p, out, q, out2
+    return None
+
+
+def reference_parse_machine_file(path: str):
+    """A machine file's entries read the plain way: a prefix machine's
+    program -> output mapping, or a monotone machine's sorted distinct pairs.
+
+    Each line is checked in file order: two tokens, two binary words.  Then
+    a prefix machine refuses a repeated program, and the first program in
+    sorted order that has a proper extension, with its first one.  A
+    monotone machine refuses the first pair in sorted order whose program
+    has an extension with an incomparable output, with the first such
+    extension.  The errors and their messages are those of
+    `parse_machine_file`.
+    """
+    lines = plain_lines(path)
+    monotone = bool(lines) and lines[0] == "monotone"
+    pairs = []
+    for line in lines[1:] if monotone else lines:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"bad machine line {line!r} in {path!r}")
+        pairs.append((reference_word(tokens[0]), reference_word(tokens[1])))
+    if monotone:
+        conflict = reference_monotone_conflict(pairs)
+        if conflict is not None:
+            p, out, q, out2 = conflict
+            raise MachineError(
+                f"entries ({p!r} -> {out!r}) and ({q!r} -> {out2!r}) "
+                "have comparable programs but incomparable outputs",
+                (p, q),
+            )
+        return sorted(set(pairs))
+    table: dict[str, str] = {}
+    for p, out in pairs:
+        if p in table:
+            raise ParseError(f"duplicate program {p or '-'!r} in {path!r}")
+        table[p] = out
+    programs = sorted(table)
+    for i, p in enumerate(programs):
+        for q in programs[i + 1 :]:
+            if q.startswith(p):
+                raise MachineError(f"programs {p!r} and {q!r} violate prefix-freeness", (p, q))
+    return table
 
 
 def reference_level_averages(values, mass, depth: int) -> list[Fraction]:

@@ -22,6 +22,7 @@ from helpers import (
     random_monotone_test,
     random_prefix_machine,
     random_word,
+    report,
     sum_test_values,
 )
 from randlab.bernoulli import (
@@ -50,12 +51,6 @@ from randlab.randtests import ExtendedTest
 
 #: Golden copies of the demo battery's reports, read here and never written.
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
-
-
-def report(name: str, limit: float, started: float) -> None:
-    elapsed = time.perf_counter() - started
-    print(f"[PASS] {name} ({elapsed:.2f}s < {limit:.0f}s)")
-    assert elapsed < limit, f"{name} exceeded its runtime budget"
 
 
 def test_criterion_01_measure_consistency():

@@ -2,6 +2,7 @@ import argparse
 import math
 import random
 import shutil
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,7 +16,10 @@ from helpers import (
     random_prefix_machine,
     reference_from_partial,
     reference_output_mass,
+    reference_parse_machine_file,
+    reference_parse_table_spec,
     reference_parse_test_file,
+    report,
 )
 import randlab.cli
 import randlab.coupling
@@ -120,6 +124,30 @@ def test_mix_chain_past_the_nesting_cap_is_a_parse_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def mix_diamond(tmp_path, mix_files):
+    """m0 mixes m1 twice, ..., the last `mix` file mixes a Bernoulli leaf
+    twice: 2^mix_files paths down through mix_files + 1 files."""
+    write(tmp_path, f"m{mix_files}.measure", "bernoulli 1/3\n")
+    for i in range(mix_files):
+        write(tmp_path, f"m{i}.measure", f"mix\n1/2 m{i + 1}.measure\n1/2 m{i + 1}.measure\n")
+    return str(tmp_path / "m0.measure")
+
+
+def test_mix_diamond_reads_each_file_once(tmp_path, monkeypatch):
+    reads = []
+    read = randlab.formats._read
+    monkeypatch.setattr(randlab.formats, "_read", lambda path, what: reads.append(path) or read(path, what))
+    (tmp_path / "small").mkdir()
+    spec = parse_measure_spec_file(mix_diamond(tmp_path / "small", 12))
+    assert len(reads) == 13
+    assert realize(spec, 3) == realize(Bernoulli(F(1, 3)), 3)
+    # at the nesting cap the spec has 2^64 paths down to its coin
+    (tmp_path / "deep").mkdir()
+    deep = parse_measure_spec_file(mix_diamond(tmp_path / "deep", MAX_MIX_NESTING))
+    assert len(reads) == 13 + MAX_MIX_NESTING + 1
+    assert realize(deep, 6) == realize(Bernoulli(F(1, 3)), 6)
+
+
 def test_parse_sequence_ignores_whitespace(tmp_path):
     path = write(tmp_path, "s.seq", "01 10\n1\t1\n")
     assert parse_sequence_file(path) == "011011"
@@ -129,6 +157,19 @@ def test_parse_sequence_rejects_garbage(tmp_path):
     path = write(tmp_path, "s.seq", "01x0\n")
     with pytest.raises(ParseError):
         parse_sequence_file(path)
+
+
+def test_nested_monotone_table_parses_within_budget(tmp_path):
+    # programs 0^i -> 0^i for i <= 3000: every program is comparable with
+    # every later one, so checking pairs against all their extensions is
+    # quadratic (4.5 million pairs) where one pass down the chain is linear
+    n = 3000
+    lines = "".join(f"{'0' * i or '-'} {'0' * i or '-'}\n" for i in range(n + 1))
+    path = write(tmp_path, "nested.machine", "monotone\n" + lines)
+    started = time.perf_counter()
+    machine = parse_machine_file(path)
+    report(f"{n + 1}-entry nested monotone table", 1.0, started)
+    assert len(machine.entries) == n + 1
 
 
 def test_parse_machine_kinds(tmp_path):
@@ -480,6 +521,92 @@ def test_parse_test_file_matches_the_line_by_line_reading(tmp_path_factory, case
         assert by_word(parse_test_file(path)) == expected
 
 
+# Machine tables and `table` specs against their plain line-by-line
+# readings, with the test files' filler lines and faults: a well-formed
+# table, then the same table with one bad line put in anywhere.
+
+def flipped(word):
+    return word.translate(str.maketrans("01", "10"))
+
+
+@st.composite
+def machine_lines(draw):
+    monotone = draw(st.booleans())
+    if monotone:  # outputs mostly prefixes of flipped(program), which agree on comparable programs
+        programs = draw(st.lists(st.text(alphabet="01", max_size=5), max_size=10))
+        outputs = [flipped(p)[: draw(st.integers(0, 5))] if draw(st.integers(0, 7)) else
+                   draw(st.text(alphabet="01", max_size=4)) for p in programs]
+    else:  # distinct words of one length are prefix-free
+        length = draw(st.integers(0, 4))
+        programs = sorted(draw(st.sets(st.sampled_from(all_words(length)), min_size=1)))
+        outputs = [flipped(p)[: draw(st.integers(0, 3))] for p in programs]
+    lines = ["monotone"] if monotone else []
+    lines += [f"{p or '-'}{draw(st.sampled_from(SEPARATORS))}{out or '-'}" for p, out in zip(programs, outputs)]
+    for filler in draw(st.lists(st.sampled_from(FILLER), max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    fault = draw(st.one_of(
+        st.sampled_from(FAULTS),
+        st.sampled_from(programs or [""]).map(lambda p: f"{p or '-'} 1"),  # a repeated program
+        st.text(alphabet="01", max_size=5).map(lambda p: f"{p or '-'} 10"),  # maybe not prefix-free or consistent
+    ))
+    return lines, fault, draw(st.integers(0, len(lines)))
+
+
+@st.composite
+def table_lines(draw):
+    depth = draw(st.integers(0, 4))
+    words = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(all_words(depth)), min_size=1)))))
+    nums = draw(st.lists(st.integers(0, 5), min_size=len(words), max_size=len(words)))
+    nums[0] += sum(nums) == 0
+    scale = [draw(st.sampled_from((1, 2))) for _ in words]  # 1/2 also written 2/4
+    lines = [f"table {depth}"]
+    lines += [f"{x or '-'}{draw(st.sampled_from(SEPARATORS))}{k * n}/{k * sum(nums)}"
+              for x, n, k in zip(words, nums, scale)]
+    for filler in draw(st.lists(st.sampled_from(FILLER), max_size=4)):
+        lines.insert(draw(st.integers(1, len(lines))), filler)
+    fault = draw(st.one_of(
+        st.sampled_from(FAULTS),
+        st.sampled_from(words).map(lambda x: f"{x or '-'} 0"),  # a repeated word
+        st.sampled_from(all_words(depth)).map(lambda x: f"{x or '-'} 1/8"),  # mass past 1, or a repeat
+        st.just("0" * (depth + 1) + " 0"),  # deeper than the header
+    ))
+    return lines, fault, draw(st.integers(1, len(lines)))
+
+
+def assert_same_readings(parse, reference, folder, lines, fault, at):
+    """The file as drawn and with the fault put in: `parse` gives the plain
+    reading of each, or fails with the same error."""
+    for name, body in (("plain", lines), ("faulty", [*lines[:at], fault, *lines[at:]])):
+        path = write(folder, name, "\n".join(body) + "\n")
+        try:
+            expected = reference(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse(path)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            assert getattr(raised.value, "pair", None) == getattr(exc, "pair", None)
+        else:
+            assert parse(path) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine_lines())
+def test_parse_machine_file_matches_the_line_by_line_reading(tmp_path_factory, case):
+    def entries(path):
+        return parse_machine_file(path).entries
+
+    assert_same_readings(entries, reference_parse_machine_file, tmp_path_factory.mktemp("machine"), *case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_lines())
+def test_parse_table_spec_matches_the_line_by_line_reading(tmp_path_factory, case):
+    def masses(path):
+        return by_word(parse_measure_spec_file(path))
+
+    assert_same_readings(masses, reference_parse_table_spec, tmp_path_factory.mktemp("table"), *case)
+
+
 @pytest.mark.parametrize(
     "content, code, message",
     [
@@ -559,6 +686,8 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["machine-info", "dup.machine"], "duplicate program '0' in 'dup.machine'"),
         (["neutral", "s.seq", "s.seq", "--machine", "m.machine"], "neutral search needs a prefix machine"),
         (["validate-measure", "dup.measure", "--depth", "1"], "duplicate prefix '0' in 'dup.measure'"),
+        (["validate-measure", "three.measure", "--depth", "1"], "bad table line '0 1/2 x' in 'three.measure'"),
+        (["validate-measure", "lone.measure", "--depth", "1"], "bad mix line '1/2' in 'lone.measure'"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -571,6 +700,8 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
     write(tmp_path, "t2.measure", "table 2\n00 1/2\n0 1/2\n")
     write(tmp_path, "dup.machine", "0 1\n0 1\n")
     write(tmp_path, "dup.measure", "table 1\n0 1/3\n0 1/2\n1 1/2\n")
+    write(tmp_path, "three.measure", "table 1\n0 1/2 x\n1 1/2\n")
+    write(tmp_path, "lone.measure", "mix\n1/2 u.measure\n1/2\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")

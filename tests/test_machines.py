@@ -8,6 +8,8 @@ from helpers import (
     kp_of,
     random_monotone_machine,
     random_prefix_machine,
+    random_word,
+    reference_monotone_conflict,
     reference_monotone_output_prob,
     reference_output_mass,
 )
@@ -96,6 +98,36 @@ def test_monotone_inconsistency_names_pair():
     with pytest.raises(MachineError) as err:
         MonotoneMachine([("0", "0"), ("01", "10")])
     assert err.value.pair == ("0", "01")
+
+
+def test_monotone_inconsistency_names_the_first_program_with_a_conflict():
+    # 00 -> 00 and 000 -> 01 conflict first in program order, but 0 -> 0
+    # comes before 00 and conflicts with its later extension 01 -> 1
+    with pytest.raises(MachineError) as err:
+        MonotoneMachine([("0", "0"), ("00", "00"), ("000", "01"), ("01", "1")])
+    assert err.value.pair == ("0", "01")
+    assert str(err.value) == (
+        "entries ('0' -> '0') and ('01' -> '1') have comparable programs but incomparable outputs"
+    )
+
+
+def test_monotone_check_names_the_plain_definitions_witness():
+    # short programs nest often, and one output in four is drawn at random,
+    # so a table often holds several conflicts and their order matters
+    rng = random.Random(4)
+    for _ in range(3000):
+        entries = []
+        for _ in range(rng.randrange(10)):
+            p = random_word(rng, rng.randrange(4))
+            out = p.translate(str.maketrans("01", "10"))[: rng.randrange(5)]
+            entries.append((p, out if rng.randrange(4) else random_word(rng, rng.randrange(5))))
+        conflict = reference_monotone_conflict(entries)
+        if conflict is None:
+            assert MonotoneMachine(entries).entries == sorted(set(entries))
+            continue
+        with pytest.raises(MachineError) as err:
+            MonotoneMachine(entries)
+        assert err.value.pair == (conflict[0], conflict[2])
 
 
 def test_monotone_inconsistency_deep_in_a_large_table_names_pair():

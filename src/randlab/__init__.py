@@ -14,19 +14,15 @@ from .measures import (
     Mixture,
     block_frequency,
     count_upcrossings,
-    point_mass,
     realize,
-    shipped_measure_specs,
 )
 from .machines import (
     MachineError,
     MonotoneMachine,
     PrefixMachine,
     canonical_machine,
-    canonical_monotone_machine,
     monotone_output_prob,
     semimeasure_total,
-    tiny_machine,
 )
 from .randtests import (
     CONVERT_AVG_BOUND,

@@ -85,8 +85,8 @@ def _pairs(lines: Iterable[str], path: str, kind: str, maxsplit: int = -1) -> It
 
 
 def parse_measure_spec_file(path: str, including: tuple[str, ...] = (), parsed: dict | None = None) -> MeasureSpec:
-    """One construct per file: `bernoulli p` | `table depth` + leaf lines |
-    `mix` + weighted sub-spec lines (paths relative to this file).
+    """One construct per file, named by the header: `bernoulli p` alone |
+    `table depth` + leaf lines | `mix` + weighted paths relative to this file.
 
     `including` holds the resolved paths of the `mix` files whose parsing is
     still open above this one; a file that includes itself, directly or
@@ -106,11 +106,15 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = (), parsed: 
     lines = _meaningful_lines(_read(path, "measure spec"))
     if not lines:
         raise ParseError(f"empty measure spec {path!r}")
-    head = lines[0].split()
+    head = lines[0].split()  # the kind, then as many parameters as it takes
+    if len(head) - 1 != {"bernoulli": 1, "table": 1, "mix": 0}.get(head[0]):
+        raise ParseError(f"unrecognized measure spec header {lines[0]!r} in {path!r}")
     try:
-        if head[0] == "bernoulli" and len(head) == 2:
+        if head[0] == "bernoulli":
             spec = Bernoulli(parse_rational(head[1]))
-        elif head[0] == "table" and len(head) == 2:
+            if len(lines) > 1:  # the header is the whole spec
+                raise ParseError(f"bad bernoulli line {lines[1]!r} in {path!r}")
+        elif head[0] == "table":
             depth = int(head[1])
             leaves: dict[str, Fraction] = {}
             for word_token, value_token in _pairs(lines[1:], path, "table"):
@@ -121,18 +125,16 @@ def parse_measure_spec_file(path: str, including: tuple[str, ...] = (), parsed: 
                     raise ParseError(f"duplicate prefix {format_word(word)!r} in {path!r}")
                 leaves[word] = parse_rational(value_token)
             spec = DyadicMeasure.from_leaves(depth, leaves)
-        elif head[0] == "mix" and len(head) == 1:
+        else:  # mix
             weights, parts = [], []
             base = os.path.dirname(os.path.abspath(path))
             for weight_token, sub in _pairs(lines[1:], path, "mix", maxsplit=1):
                 weights.append(parse_rational(weight_token))
                 parts.append(parse_measure_spec_file(os.path.join(base, sub), including + (resolved,), parsed))
             spec = Mixture(tuple(weights), tuple(parts))
-        else:
-            raise ParseError(f"unrecognized measure spec header {lines[0]!r} in {path!r}")
     except (ParseError, MeasureError, CapabilityError):
         raise  # a bad table is a certified violation, not a parse failure
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad measure spec {path!r}: {exc}") from exc
     parsed[key] = spec
     return spec
@@ -229,6 +231,4 @@ def render_test_file(test: ExtendedTest) -> str:
 
 def render_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """Tab-separated lines; every cell is already text."""
-    lines = ["\t".join(header)]
-    lines.extend(map("\t".join, rows))
-    return "\n".join(lines) + "\n"
+    return "\n".join(map("\t".join, chain([header], rows))) + "\n"

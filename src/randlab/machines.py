@@ -22,8 +22,6 @@ __all__ = [
     "semimeasure_total",
     "monotone_output_prob",
     "canonical_machine",
-    "tiny_machine",
-    "canonical_monotone_machine",
 ]
 
 
@@ -170,13 +168,3 @@ def canonical_machine(max_len: int = 6) -> PrefixMachine:
     length 2L + 1, so its shortest-program length is exactly 2L + 1.
     """
     return PrefixMachine({"1" * len(x) + "0" + x: x for x in prefixes(max_len)})
-
-
-def tiny_machine() -> PrefixMachine:
-    """Three entries saturating the Kraft inequality exactly."""
-    return PrefixMachine({"0": "", "10": "0", "11": "1"})
-
-
-def canonical_monotone_machine(max_len: int = 3) -> MonotoneMachine:
-    """The shipped copy machine: every program up to max_len outputs itself."""
-    return MonotoneMachine((p, p) for p in prefixes(max_len))

@@ -12,8 +12,8 @@ at every interior prefix; `randtests.ExtendedTest` has nonnegative values.
 A word -> value mapping becomes a table once, in its constructor; past
 that, the kernels take and return these level rows only, read them
 directly and decide every (in)equality by integer arithmetic.  Every
-measure that `realize`, `from_leaves` or `point_mass` builds is one leaf
-row summed up the tree by `fold_up`; a table spec is only cut to depth.
+measure that `realize` or `from_leaves` builds is one leaf row summed up
+the tree by `fold_up`; a table spec is only cut to depth.
 Frequency statistics (sliding block averages and their upcrossing counts)
 live here too, since they are functions of words and masses only.
 
@@ -51,10 +51,8 @@ __all__ = [
     "MeasureSpec",
     "realize",
     "class_masses",
-    "point_mass",
     "block_frequency",
     "count_upcrossings",
-    "shipped_measure_specs",
 ]
 
 
@@ -406,18 +404,6 @@ def class_masses(ones: int, zeros: int, n: int, step: int) -> tuple[list[int], i
     return masses, rising(ones + zeros, n)
 
 
-def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:
-    """The measure concentrated on all extensions of the given prefix."""
-    validate_bits(omega_prefix)
-    if len(omega_prefix) < depth:
-        raise ValueError(
-            f"prefix of length {len(omega_prefix)} too short for depth {depth}"
-        )
-    row = [0] * (1 << _capped(depth))
-    row[_index(omega_prefix[:depth])] = 1
-    return DyadicMeasure._of_levels(fold_up(row, _sums), 1)
-
-
 def block_frequency(omega: str, x: str, n: int) -> Fraction:
     """Sliding average: fraction of the first n shifts of omega starting with x."""
     validate_bits(omega)
@@ -463,32 +449,3 @@ def count_upcrossings(omega: str, x: str, alpha: Fraction, beta: Fraction) -> in
             count += 1
             armed = False
     return count
-
-
-def shipped_measure_specs() -> dict[str, MeasureSpec]:
-    """The demonstration measures exercised by the acceptance suite."""
-    half = Fraction(1, 2)
-    exchangeable = DyadicMeasure.from_leaves(
-        2,
-        {
-            "00": Fraction(1, 6),
-            "01": Fraction(1, 3),
-            "10": Fraction(1, 3),
-            "11": Fraction(1, 6),
-        },
-    )
-    return {
-        "uniform": Bernoulli(half),
-        "third": Bernoulli(Fraction(1, 3)),
-        "zero": Bernoulli(Fraction(0)),
-        "one": Bernoulli(Fraction(1)),
-        "quarter": Bernoulli(Fraction(1, 4)),
-        "endpoint-mix": Mixture(
-            (half, half), (Bernoulli(Fraction(0)), Bernoulli(Fraction(1)))
-        ),
-        "biased-mix": Mixture(
-            (Fraction(1, 3), Fraction(2, 3)),
-            (Bernoulli(Fraction(1, 4)), Bernoulli(Fraction(3, 4))),
-        ),
-        "exchangeable-table": exchangeable,
-    }

@@ -20,6 +20,7 @@ from randlab.measures import (
     Bernoulli,
     DyadicMeasure,
     MeasureError,
+    MeasureSpec,
     Mixture,
     all_words,
     block_frequency,
@@ -35,6 +36,41 @@ def report(name: str, limit: float, started: float) -> None:
     elapsed = time.perf_counter() - started
     print(f"[PASS] {name} ({elapsed:.2f}s < {limit:.0f}s)")
     assert elapsed < limit, f"{name} exceeded its runtime budget"
+
+
+def tiny_machine() -> PrefixMachine:
+    """Three entries saturating the Kraft inequality exactly."""
+    return PrefixMachine({"0": "", "10": "0", "11": "1"})
+
+
+def canonical_monotone_machine(max_len: int = 3) -> MonotoneMachine:
+    """The copy machine: every program up to max_len outputs itself."""
+    return MonotoneMachine((p, p) for p in prefixes(max_len))
+
+
+def point_mass(omega_prefix: str, depth: int) -> DyadicMeasure:
+    """The measure concentrated on all extensions of the prefix's first `depth` bits."""
+    return DyadicMeasure.from_leaves(depth, {omega_prefix[:depth]: 1})
+
+
+def shipped_measure_specs() -> dict[str, MeasureSpec]:
+    """The demonstration measures exercised by the acceptance suite."""
+    half = Fraction(1, 2)
+    exchangeable = DyadicMeasure.from_leaves(
+        2, {"00": Fraction(1, 6), "01": Fraction(1, 3), "10": Fraction(1, 3), "11": Fraction(1, 6)}
+    )
+    return {
+        "uniform": Bernoulli(half),
+        "third": Bernoulli(Fraction(1, 3)),
+        "zero": Bernoulli(Fraction(0)),
+        "one": Bernoulli(Fraction(1)),
+        "quarter": Bernoulli(Fraction(1, 4)),
+        "endpoint-mix": Mixture((half, half), (Bernoulli(Fraction(0)), Bernoulli(Fraction(1)))),
+        "biased-mix": Mixture(
+            (Fraction(1, 3), Fraction(2, 3)), (Bernoulli(Fraction(1, 4)), Bernoulli(Fraction(3, 4)))
+        ),
+        "exchangeable-table": exchangeable,
+    }
 
 
 SPLIT_GRID = [Fraction(n, d) for d in (1, 2, 3, 4, 8) for n in range(d + 1)]

@@ -23,7 +23,9 @@ from helpers import (
     random_prefix_machine,
     random_word,
     report,
+    shipped_measure_specs,
     sum_test_values,
+    tiny_machine,
 )
 from randlab.bernoulli import (
     certify_bernoulli_test,
@@ -34,8 +36,8 @@ from randlab.bernoulli import (
 from randlab.coupling import is_coupled_below, leq_words, monotone_criterion_check
 from randlab.exact import div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import parse_measure_spec_file
-from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total, tiny_machine
-from randlab.measures import DyadicMeasure, all_words, realize, shipped_measure_specs
+from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total
+from randlab.measures import DyadicMeasure, all_words, realize
 from randlab.neutral import sperner_search
 from randlab.randtests import (
     CONVERT_AVG_BOUND,

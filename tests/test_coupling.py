@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_pushdown, level, random_dyadic_measure, reference_pushdown
+from helpers import check_pushdown, level, point_mass, random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
     MAX_COUPLING_N,
     CapabilityError,
@@ -17,7 +17,7 @@ from randlab.coupling import (
     submask_hull,
 )
 from randlab.exact import fmt
-from randlab.measures import Bernoulli, all_words, point_mass, realize
+from randlab.measures import Bernoulli, all_words, realize
 from randlab.randtests import from_weights
 
 

@@ -663,6 +663,10 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
     assert err == (message.format(path=repr(path)) + "\n" if message else "")
 
 
+# a known kind with the wrong count of header tokens
+WRONG_HEADERS = ["bernoulli", "bernoulli 1/2 1/3", "table", "table 1 2", "mix 1"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -688,6 +692,14 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
         (["validate-measure", "dup.measure", "--depth", "1"], "duplicate prefix '0' in 'dup.measure'"),
         (["validate-measure", "three.measure", "--depth", "1"], "bad table line '0 1/2 x' in 'three.measure'"),
         (["validate-measure", "lone.measure", "--depth", "1"], "bad mix line '1/2' in 'lone.measure'"),
+        *(
+            (["validate-measure", f"h{i}.measure", "--depth", "1"],
+             f"unrecognized measure spec header {header!r} in 'h{i}.measure'")
+            for i, header in enumerate(WRONG_HEADERS)
+        ),
+        (["validate-measure", "body.measure", "--depth", "1"],
+         "bad bernoulli line 'this line is ignored' in 'body.measure'"),
+        (["validate-measure", "pair.measure", "--depth", "1"], "bad bernoulli line '0 1' in 'pair.measure'"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -702,6 +714,10 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
     write(tmp_path, "dup.measure", "table 1\n0 1/3\n0 1/2\n1 1/2\n")
     write(tmp_path, "three.measure", "table 1\n0 1/2 x\n1 1/2\n")
     write(tmp_path, "lone.measure", "mix\n1/2 u.measure\n1/2\n")
+    for i, header in enumerate(WRONG_HEADERS):
+        write(tmp_path, f"h{i}.measure", header + "\n")
+    write(tmp_path, "body.measure", "bernoulli 1/2\nthis line is ignored\n0 1 2\n")
+    write(tmp_path, "pair.measure", "bernoulli 1/2\n0 1\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")

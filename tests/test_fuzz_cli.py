@@ -43,7 +43,7 @@ def document(head, body):
 
 
 measure_text = st.one_of(
-    st.builds("bernoulli {}".format, rational),
+    document(st.builds("bernoulli {}".format, rational), st.one_of(pair, noise)),
     document(st.builds("table {}".format, st.sampled_from(DEPTHS)), st.one_of(pair, noise)),
     document(st.just("mix"), st.one_of(st.builds("{} {}".format, rational, st.sampled_from(FILES)), noise)),
     noise,

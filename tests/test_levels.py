@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     by_word,
     level,
+    point_mass,
     random_dyadic_measure,
     random_listed,
     random_monotone_test,
@@ -41,7 +42,6 @@ from randlab.measures import (
     MeasureError,
     Mixture,
     all_words,
-    point_mass,
     prefixes,
     realize,
 )

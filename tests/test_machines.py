@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    canonical_monotone_machine,
     kp_of,
     random_monotone_machine,
     random_prefix_machine,
@@ -12,6 +13,7 @@ from helpers import (
     reference_monotone_conflict,
     reference_monotone_output_prob,
     reference_output_mass,
+    tiny_machine,
 )
 from randlab.exact import INF
 from randlab.machines import (
@@ -19,10 +21,8 @@ from randlab.machines import (
     MonotoneMachine,
     PrefixMachine,
     canonical_machine,
-    canonical_monotone_machine,
     monotone_output_prob,
     semimeasure_total,
-    tiny_machine,
 )
 from randlab.measures import all_words
 

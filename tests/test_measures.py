@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import bernoulli_mass, level, reference_upcrossings
+from helpers import bernoulli_mass, level, point_mass, reference_upcrossings, shipped_measure_specs
 from randlab.measures import (
     MAX_DEPTH,
     Bernoulli,
@@ -19,10 +19,8 @@ from randlab.measures import (
     count_upcrossings,
     fill_down,
     fold_up,
-    point_mass,
     prefixes,
     realize,
-    shipped_measure_specs,
 )
 
 words = st.text(alphabet="01", max_size=8)

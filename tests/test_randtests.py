@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     by_word,
+    canonical_monotone_machine,
     level,
+    point_mass,
     random_dyadic_measure,
     random_monotone_machine,
     random_monotone_test,
@@ -14,11 +16,12 @@ from helpers import (
     random_word,
     reference_profile_rows,
     sum_test_values,
+    tiny_machine,
 )
 from randlab.cli import main
 from randlab.exact import ceil_log2, floor_log2, is_inf, mul_nonneg
-from randlab.machines import PrefixMachine, canonical_machine, tiny_machine
-from randlab.measures import Bernoulli, DyadicMeasure, Mixture, all_words, point_mass, prefixes, realize
+from randlab.machines import PrefixMachine, canonical_machine
+from randlab.measures import Bernoulli, DyadicMeasure, Mixture, all_words, prefixes, realize
 from randlab.randtests import (
     CONVERT_AVG_BOUND,
     ExtendedTest,
@@ -202,7 +205,7 @@ def test_conditional_average_is_martingale():
 
 def test_shipped_monotone_machine_ratio_is_supermartingale():
     from randlab.exact import div_ratio
-    from randlab.machines import canonical_monotone_machine, monotone_output_prob
+    from randlab.machines import monotone_output_prob
 
     machine = canonical_monotone_machine()
     horizon = machine.max_program_length()

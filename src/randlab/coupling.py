@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 from .exact import fmt
 from .formats import format_word
@@ -27,9 +27,11 @@ from .measures import (
     Bernoulli,
     CapabilityError,
     DyadicMeasure,
+    _capped,
     _index,
     _maxima,
     _sums,
+    _word,
     all_words,
     fold_up,
     realize,
@@ -42,7 +44,6 @@ V = TypeVar("V")
 __all__ = [
     "CapabilityError",
     "MAX_COUPLING_N",
-    "leq_words",
     "is_coupled_below",
     "enumerate_upper_sets",
     "monotone_criterion_check",
@@ -50,13 +51,6 @@ __all__ = [
     "pushdown_measure",
     "sparsity_value",
 ]
-
-
-def leq_words(x: str, y: str) -> bool:
-    """Coordinatewise order on words of equal length."""
-    if len(x) != len(y):
-        raise ValueError("coordinatewise order needs equal lengths")
-    return all(a <= b for a, b in zip(x, y))
 
 
 def _hasse_flow(
@@ -178,6 +172,16 @@ def _refuse_past_cap(n: int) -> None:
         raise CapabilityError(f"coupling capped at n = {MAX_COUPLING_N}, got {n}")
 
 
+def _level_rows(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> tuple[list[int], list[int], int]:
+    """P's and Q's level-n rows of numerators over one denominator, the lcm
+    of the two tables' denominators, and that denominator."""
+    if n > min(P.depth, Q.depth):
+        raise ValueError("level beyond a measure table depth")
+    _capped(n)  # a negative level would index the rows from the leaves
+    scale = lcm(P.den, Q.den)
+    return [v * (scale // P.den) for v in P.nums[n]], [v * (scale // Q.den) for v in Q.nums[n]], scale
+
+
 def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     """Decide whether the level-n restriction of P can be coupled below Q.
 
@@ -190,61 +194,45 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
     U maximizing P(U) - Q(U), with P(U) > Q(U).  Refuses n > `MAX_COUPLING_N`.
     """
     _refuse_past_cap(n)
-    if n > min(P.depth, Q.depth):
-        raise ValueError("level beyond a measure table depth")
-    words = all_words(n)
-    scale = lcm(P.den, Q.den)
-    supply = [v * (scale // P.den) for v in P.nums[n]]
-    demand = [v * (scale // Q.den) for v in Q.nums[n]]
+    supply, demand, scale = _level_rows(P, Q, n)
     total, plan, reachable = _hasse_flow(n, supply, demand)
     if total == sum(supply):
+        words = all_words(n)
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
         rows = [(format_word(x), format_word(y), fmt(v)) for (x, y), v in sorted(flow.items())]
         return Verdict(ok=True, rows=rows, witness=flow)
-    upper = [x for x, inside in enumerate(reachable) if inside]
-    p_u = Fraction(sum(supply[x] for x in upper), scale)
-    q_u = Fraction(sum(demand[x] for x in upper), scale)
+    return _refuted(n, [x for x, inside in enumerate(reachable) if inside], supply, demand, scale)
+
+
+def _refuted(n: int, upper: Sequence[int], p_row: list[int], q_row: list[int], scale: int) -> Verdict:
+    """The failed verdict of an upper set U of level-n indices, in increasing
+    order, whose mass in `p_row` exceeds its mass in `q_row`."""
+    p_u = Fraction(sum(p_row[x] for x in upper), scale)
+    q_u = Fraction(sum(q_row[x] for x in upper), scale)
     if not p_u > q_u:
         raise AssertionError("min-cut certificate failed to separate the masses")
-    return _refuted([words[x] for x in upper], p_u, q_u)
-
-
-def _refuted(upper: list[str], p_u: Fraction, q_u: Fraction) -> Verdict:
-    """The failed verdict of a sorted upper set U with P(U) = p_u > q_u = Q(U)."""
-    rows = [(format_word(y), fmt(p_u), fmt(q_u)) for y in upper]
-    return Verdict(ok=False, rows=rows, witness=(upper, p_u, q_u))
+    words = [_word(x, n) for x in upper]
+    rows = [(format_word(y), fmt(p_u), fmt(q_u)) for y in words]
+    return Verdict(ok=False, rows=rows, witness=(words, p_u, q_u))
 
 
 @lru_cache(maxsize=None)
-def enumerate_upper_sets(n: int) -> tuple[frozenset, ...]:
-    """All monotone upper subsets of {0,1}^n, built from antichains.
+def enumerate_upper_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """All monotone upper subsets of {0,1}^n, each as its increasing word
+    indices, ordered by size and then by those indices.
 
-    Refuses n > 4: the count is the Dedekind number (168 at n = 4) and the
-    next one is out of desk range by policy.
+    A leading bit k splits an upper set of the longer words into the upper
+    sets A (bit 0) and B (bit 1) of the shorter ones, with A a subset of B,
+    and every such pair occurs: the sets grow from those of {0,1}^0 a bit
+    at a time.  Refuses n > 4: the count is the Dedekind number (168 at
+    n = 4) and the next one is out of desk range by policy.
     """
     if n > 4:
         raise CapabilityError(f"monotone-function enumeration capped at n = 4, got {n}")
-    words = all_words(n)
-
-    def up_closure(members: tuple[str, ...]) -> frozenset:
-        return frozenset(
-            y for y in words if any(leq_words(x, y) for x in members)
-        )
-
-    antichains: list[tuple[str, ...]] = []
-
-    def grow(chosen: tuple[str, ...], start: int):
-        antichains.append(chosen)
-        for i in range(start, len(words)):
-            w = words[i]
-            if all(
-                not leq_words(w, c) and not leq_words(c, w) for c in chosen
-            ):
-                grow(chosen + (w,), i + 1)
-
-    grow((), 0)
-    closures = {up_closure(a) for a in antichains}
-    return tuple(sorted(closures, key=lambda s: (len(s), tuple(sorted(s)))))
+    uppers: list[tuple[int, ...]] = [(), (0,)]
+    for k in range(_capped(n)):
+        uppers = [a + tuple(1 << k | y for y in b) for b in uppers for a in uppers if set(a) <= set(b)]
+    return tuple(sorted(uppers, key=lambda u: (len(u), u)))
 
 
 def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
@@ -253,13 +241,10 @@ def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verd
     Holding, it reports one `all` row; failing, one row per word of the
     first violating upper set in `enumerate_upper_sets` order.
     """
-    if n > min(P.depth, Q.depth):
-        raise ValueError("level beyond a measure table depth")
+    p_row, q_row, scale = _level_rows(P, Q, n)
     for upper in enumerate_upper_sets(n):
-        p_u = sum((P.mass(x) for x in upper), Fraction(0))
-        q_u = sum((Q.mass(y) for y in upper), Fraction(0))
-        if p_u > q_u:
-            return _refuted(sorted(upper), p_u, q_u)
+        if sum(p_row[x] for x in upper) > sum(q_row[x] for x in upper):
+            return _refuted(n, upper, p_row, q_row, scale)
     return Verdict(ok=True, rows=[("all", "-", "pass")])
 
 

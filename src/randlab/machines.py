@@ -126,10 +126,11 @@ def semimeasure_table(machine: PrefixMachine) -> dict[str, Fraction]:
 
 
 def semimeasure_total(machine: PrefixMachine) -> Fraction:
-    """Total output mass; <= 1 is forced by prefix-freeness (Kraft)."""
+    """Total output mass; <= 1 is forced by prefix-freeness (Kraft), so a
+    larger sum is an internal failure, not a property of the input."""
     total = machine.kraft_sum()
     if total > 1:
-        raise MachineError("Kraft sum exceeds 1 on a prefix-free table")
+        raise AssertionError("Kraft sum exceeds 1 on a prefix-free table")
     return total
 
 

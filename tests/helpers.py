@@ -145,6 +145,11 @@ def random_monotone_test(rng: random.Random, measure: DyadicMeasure, depth: int)
     return from_weights(weights, measure, depth)
 
 
+def leq_words(x: str, y: str) -> bool:
+    """Coordinatewise order on words of equal length."""
+    return len(x) == len(y) and all(a <= b for a, b in zip(x, y))
+
+
 def random_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
 

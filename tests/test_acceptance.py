@@ -13,6 +13,7 @@ from pathlib import Path
 
 from helpers import (
     check_pushdown,
+    leq_words,
     level,
     mixture_deficiency,
     monotone_output,
@@ -33,7 +34,7 @@ from randlab.bernoulli import (
     replacement_domination_check,
     validate_combinatorial_test,
 )
-from randlab.coupling import is_coupled_below, leq_words, monotone_criterion_check
+from randlab.coupling import is_coupled_below, monotone_criterion_check
 from randlab.exact import div_ratio, fmt, mul_nonneg, parse_rational
 from randlab.formats import parse_measure_spec_file
 from randlab.machines import canonical_machine, monotone_output_prob, semimeasure_total

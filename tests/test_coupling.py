@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_pushdown, level, point_mass, random_dyadic_measure, reference_pushdown
+from helpers import check_pushdown, level, leq_words, point_mass, random_dyadic_measure, reference_pushdown
 from randlab.coupling import (
     MAX_COUPLING_N,
     CapabilityError,
     enumerate_upper_sets,
     is_coupled_below,
-    leq_words,
     monotone_criterion_check,
     pushdown_measure,
     sparsity_value,
@@ -59,11 +59,76 @@ def test_enumeration_refuses_n5():
         enumerate_upper_sets(5)
 
 
+def test_enumeration_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        enumerate_upper_sets(-1)
+
+
+def brute_force_upper_sets(n: int) -> list[tuple[int, ...]]:
+    """Every subset of the level-n word indices that is up-closed in the
+    coordinatewise order, by size and then by increasing indices: the order
+    in which `combinations` draws them."""
+    words = all_words(n)
+    return [
+        chosen
+        for size in range(len(words) + 1)
+        for chosen in itertools.combinations(range(len(words)), size)
+        if all(j in chosen for i in chosen for j, y in enumerate(words) if leq_words(words[i], y))
+    ]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_enumeration_matches_the_up_closed_subsets_in_order(n):
+    assert list(enumerate_upper_sets(n)) == brute_force_upper_sets(n)
+
+
+def test_enumeration_at_its_cap_lists_168_distinct_up_closed_sets():
+    words = all_words(4)
+    uppers = enumerate_upper_sets(4)
+    assert len(set(uppers)) == 168
+    assert list(uppers) == sorted(uppers, key=lambda u: (len(u), u))
+    for u in uppers:
+        assert list(u) == sorted(set(u))
+        assert all(j in u for i in u for j, y in enumerate(words) if leq_words(words[i], y))
+
+
+def test_criterion_witness_is_the_first_violating_upper_set():
+    rng = random.Random(67)
+    seen = 0
+    for _ in range(120):
+        n = rng.randrange(1, 5)
+        p = random_dyadic_measure(rng, n)
+        q = random_dyadic_measure(rng, n)
+        words = all_words(n)
+        first = None
+        for u in enumerate_upper_sets(n):
+            p_u = sum((p.mass(words[x]) for x in u), F(0))
+            q_u = sum((q.mass(words[x]) for x in u), F(0))
+            if p_u > q_u:
+                first = ([words[x] for x in u], p_u, q_u)
+                break
+        result = monotone_criterion_check(p, q, n)
+        assert result.ok == (first is None)
+        if first is not None:
+            seen += 1
+            assert result.witness == first
+            assert result.rows == [(y, fmt(first[1]), fmt(first[2])) for y in first[0]]
+    assert seen > 20
+
+
 def test_coupling_refuses_a_level_past_its_cap():
     n = MAX_COUPLING_N + 1
     coin = realize(Bernoulli(F(1, 2)), n)
     with pytest.raises(CapabilityError, match=f"^coupling capped at n = {MAX_COUPLING_N}, got {n}$"):
         is_coupled_below(coin, coin, n)
+
+
+@pytest.mark.parametrize("check", [is_coupled_below, monotone_criterion_check])
+def test_checks_refuse_a_negative_level(check):
+    # a negative index would read the leaf row
+    coin = realize(Bernoulli(F(1, 3)), 2)
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        check(coin, coin, -1)
 
 
 def test_criterion_identical_measures_pass():
@@ -236,13 +301,14 @@ def test_certificate_is_the_minimal_maximizing_upper_set():
         if result.ok:
             continue
         seen += 1
-        gap = {u: sum((p.mass(x) - q.mass(x) for x in u), F(0)) for u in enumerate_upper_sets(n)}
+        words = all_words(n)
+        gap = {u: sum((p.mass(words[x]) - q.mass(words[x]) for x in u), F(0)) for u in enumerate_upper_sets(n)}
         best = max(gap.values())
         maximizers = [u for u, g in gap.items() if g == best]
-        minimal = frozenset.intersection(*maximizers)
+        minimal = tuple(sorted(set.intersection(*map(set, maximizers))))
         assert minimal in maximizers
         upper, p_u, q_u = result.witness
-        assert upper == sorted(minimal)
+        assert upper == [words[x] for x in minimal]
         assert p_u - q_u == best
         assert result.rows == [(y, fmt(p_u), fmt(q_u)) for y in upper]
     assert seen > 20

@@ -273,6 +273,16 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_cli_broken_kraft_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    # prefix-freeness forces a Kraft sum <= 1, so a larger one is an internal failure, not a verdict
+    monkeypatch.setattr(PrefixMachine, "kraft_sum", lambda self: F(2))
+    tiny = write(tmp_path, "tiny.machine", "0 -\n10 0\n11 1\n")
+    assert run_cli("machine-info", tiny) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: AssertionError: Kraft sum exceeds 1 on a prefix-free table\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("case", ["measure-depth", "table-spec", "test-file", "extend-depth"])
 def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     # one past the cap, so a missing cap costs seconds rather than memory
@@ -700,6 +710,8 @@ WRONG_HEADERS = ["bernoulli", "bernoulli 1/2 1/3", "table", "table 1 2", "mix 1"
         (["validate-measure", "body.measure", "--depth", "1"],
          "bad bernoulli line 'this line is ignored' in 'body.measure'"),
         (["validate-measure", "pair.measure", "--depth", "1"], "bad bernoulli line '0 1' in 'pair.measure'"),
+        (["coupling", "u.measure", "u.measure", "--depth", "-1"], "depth must be nonnegative"),
+        (["monotone-criterion", "u.measure", "u.measure", "--depth", "-1"], "depth must be nonnegative"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

@@ -79,6 +79,7 @@ COMMANDS = [
     lambda d, s, x: ["upcrossings", "q.seq", x, "1/3", "2/3"],
     lambda d, s, x: ["separator", "q.seq", "1/2", "--class-test", "t.test"],
     lambda d, s, x: ["neutral", "q.seq", "--machine", "k.machine", "--depth", s, "--resolution", "3"],
+    lambda d, s, x: ["monotone-criterion", "m.measure", "n.measure", "--depth", s],
 ]
 
 
@@ -157,7 +158,7 @@ CHECKS = [  # the commands that can exit 1
     command for command in COMMANDS
     if command("0", "1", "-")[0] in {
         "validate-measure", "validate-test", "martingale", "prob-check", "convert",
-        "sparsity", "bernoulli-validate", "certify-bernoulli", "coupling",
+        "sparsity", "bernoulli-validate", "certify-bernoulli", "coupling", "monotone-criterion",
     }
 ]
 listed_test = st.integers(0, 3).flatmap(

@@ -242,15 +242,12 @@ def _machine_info(args):
         rows = [(format_word(p), format_word(o), "-", "entry") for p, o in machine.entries]
         rows.append(("consistent", "-", "-", "pass"))
         return ("program", "output", "kp", "verdict"), rows, True
-    total = semimeasure_total(machine)
-    mass = machine.output_mass()
+    mass, total = machine.output_mass(), semimeasure_total(machine)
     shortest: dict[str, int] = {}  # shortest program length per output, in one pass
     for program, output in machine.entries.items():
         shortest[output] = min(len(program), shortest.get(output, len(program)))
-    rows = [
-        (format_word(output), fmt(mass[output]), fmt(shortest[output]), "output")
-        for output in sorted(mass, key=lambda w: (len(w), w))
-    ]
+    outputs = sorted(mass, key=lambda w: (len(w), w))
+    rows = [(format_word(w), fmt(mass[w]), fmt(shortest[w]), "output") for w in outputs]
     rows.append(("total", fmt(total), fmt(1), "pass"))
     return ("word", "mass", "kp", "verdict"), rows, True
 

@@ -11,6 +11,17 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 
+class CapabilityError(ValueError):
+    """The requested instance exceeds a documented cap on its size or on its printed values."""
+
+
+#: Python's default limit on the decimal digits of an integer turned into
+#: text, applied on every version: a report value past it is refused, never
+#: printed on one version and an error on another.
+MAX_PRINTED_DIGITS = 4300
+_PAST_PRINTED = 10 ** MAX_PRINTED_DIGITS
+
+
 class _Infinity:
     """Positive infinity with total order against rationals.
 
@@ -112,13 +123,20 @@ def fmt(v) -> str:
     if isinstance(v, bool):
         raise TypeError("refusing to format a bool as a rational")
     f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    return _ratio_text(f.numerator, f.denominator)
 
 
 def fmt_ratio(num: int, den: int) -> str:
     """`fmt` of num/den for integers, den > 0, reduced by one gcd."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+    return _ratio_text(num // g, den // g)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """`num/den`, already in lowest terms, as text: the one place a rational becomes text."""
+    if den >= _PAST_PRINTED or abs(num) >= _PAST_PRINTED:
+        raise CapabilityError(f"printed integers are capped at {MAX_PRINTED_DIGITS} digits, Python's limit on integer strings")
+    return f"{num}/{den}"
 
 
 def fmt_ratios(row: Sequence[int], den: int) -> list[str]:

@@ -36,11 +36,11 @@ class MachineError(ValueError):
 class PrefixMachine:
     """Finite map from programs to outputs with a prefix-free domain.
 
-    Treat instances as immutable: the output-mass table is built on first
-    use and kept.
+    Treat instances as immutable: the output masses and their total are
+    built in one pass on first use and kept.
     """
 
-    __slots__ = ("entries", "_output_mass")
+    __slots__ = ("entries", "_masses")
 
     def __init__(self, entries: Mapping[str, str]):
         table = {}
@@ -54,18 +54,13 @@ class PrefixMachine:
                     (first, second),
                 )
         self.entries = table
-        self._output_mass: Mapping[str, Fraction] | None = None
+        self._masses: tuple[Mapping[str, Fraction], Fraction] | None = None
 
     def output_mass(self) -> Mapping[str, Fraction]:
-        """:func:`semimeasure_table` of this machine, built once, read-only."""
-        if self._output_mass is None:
-            self._output_mass = MappingProxyType(semimeasure_table(self))
-        return self._output_mass
-
-    def kraft_sum(self) -> Fraction:
-        return sum(
-            (Fraction(1, 2 ** len(p)) for p in self.entries), Fraction(0)
-        )
+        """Output mass per produced word (words not produced are absent), read-only."""
+        if self._masses is None:
+            self._masses = _mass_pass(self.entries)
+        return self._masses[0]
 
     def __repr__(self) -> str:
         return f"PrefixMachine({len(self.entries)} entries)"
@@ -113,22 +108,29 @@ class MonotoneMachine:
         return f"MonotoneMachine({len(self.entries)} entries)"
 
 
-def semimeasure_table(machine: PrefixMachine) -> dict[str, Fraction]:
-    """Output mass per produced word (words not produced are absent).
-
-    Builds a fresh table; :meth:`PrefixMachine.output_mass` keeps one per
-    machine for repeated lookups.
-    """
-    table: dict[str, Fraction] = {}
-    for program, output in machine.entries.items():
-        table[output] = table.get(output, Fraction(0)) + Fraction(1, 2 ** len(program))
-    return table
+def _mass_pass(entries: Mapping[str, str]) -> tuple[Mapping[str, Fraction], Fraction]:
+    """Each output's mass, the sum of 2^-|p| over its programs p, from one pass
+    over the programs, and their total, the Kraft sum, from those masses.  A
+    mass is held as an integer over 2^k, k its output's longest program so far,
+    shifted when a longer one comes: a long program lengthens its own numerator only."""
+    held: dict[str, tuple[int, int]] = {}
+    for program, output in entries.items():
+        k = len(program)
+        num, exp = held.get(output, (0, k))
+        if k > exp:
+            num, exp = num << (k - exp), k
+        held[output] = num + (1 << (exp - k)), exp
+    top = max((exp for _, exp in held.values()), default=0)
+    total = sum(num << (top - exp) for num, exp in held.values())
+    masses = {output: Fraction(num, 1 << exp) for output, (num, exp) in held.items()}
+    return MappingProxyType(masses), Fraction(total, 1 << top)
 
 
 def semimeasure_total(machine: PrefixMachine) -> Fraction:
-    """Total output mass; <= 1 is forced by prefix-freeness (Kraft), so a
-    larger sum is an internal failure, not a property of the input."""
-    total = machine.kraft_sum()
+    """Total output mass, the Kraft sum kept by the pass of :meth:`PrefixMachine.output_mass`;
+    <= 1 is forced by prefix-freeness, so a larger sum is an internal failure."""
+    machine.output_mass()
+    total = machine._masses[1]
     if total > 1:
         raise AssertionError("Kraft sum exceeds 1 on a prefix-free table")
     return total

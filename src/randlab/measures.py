@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
-from .exact import _common_denominator
+from .exact import CapabilityError, _common_denominator
 
 __all__ = [
     "MAX_DEPTH",
@@ -60,10 +60,6 @@ __all__ = [
 MAX_DEPTH = 16
 
 V = TypeVar("V")
-
-
-class CapabilityError(ValueError):
-    """The requested instance exceeds a documented enumeration cap."""
 
 
 class MeasureError(ValueError):

@@ -23,6 +23,7 @@ from helpers import (
 )
 import randlab.cli
 import randlab.coupling
+import randlab.machines
 from randlab import demo
 from randlab.cli import SUBCOMMANDS, main
 from randlab.formats import (
@@ -275,7 +276,8 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_cli_broken_kraft_invariant_exits_3(tmp_path, capsys, monkeypatch):
     # prefix-freeness forces a Kraft sum <= 1, so a larger one is an internal failure, not a verdict
-    monkeypatch.setattr(PrefixMachine, "kraft_sum", lambda self: F(2))
+    one_pass = randlab.machines._mass_pass
+    monkeypatch.setattr(randlab.machines, "_mass_pass", lambda entries: (one_pass(entries)[0], F(2)))
     tiny = write(tmp_path, "tiny.machine", "0 -\n10 0\n11 1\n")
     assert run_cli("machine-info", tiny) == 3
     captured = capsys.readouterr()
@@ -807,3 +809,35 @@ def test_one_parser_serves_many_requests_and_builds_only_their_arguments(tmp_pat
     args = parser.parse_args(["urn-check", "4", "--out", "r.tsv"])
     assert (args.n, args.out, args.run) == (4, "r.tsv", randlab.cli._urn_check)
     assert len(calls) == shells + own("validate-test") + own("urn-check")
+
+
+@pytest.mark.parametrize("case", ["machine-info", "deficiency", "convert", "validate-test", "prob-check"])
+def test_report_values_past_the_printed_digit_cap_are_refused(tmp_path, monkeypatch, capsys, case):
+    # the report is worked out, then refused as a capability error at the one
+    # place a rational becomes text, on every Python version alike
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "big.machine", "0" * 14300 + " -\n1 1\n")  # mass 2^-14300: 4305 digits
+    write(tmp_path, "s.seq", "0101")
+    write(tmp_path, "u.measure", "bernoulli 1/2\n")
+    write(tmp_path, "t.test", "test 2\n00 4/1\n01 0/1\n10 0/1\n11 0/1\n")
+    write(tmp_path, "p.measure", "bernoulli 1/1" + "0" * 3000 + "\n")  # p^2 has 6001 digits
+    argv = {
+        "machine-info": ["machine-info", "big.machine"],
+        "deficiency": ["deficiency", "s.seq", "--measure", "u.measure", "--machine", "big.machine", "--depth", "2"],
+        "convert": ["convert", "t.test", "--measure", "p.measure"],
+        "validate-test": ["validate-test", "t.test", "--measure", "p.measure"],
+        "prob-check": ["prob-check", "t.test", "--measure", "p.measure"],
+    }[case]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "capability error: printed integers are capped at 4300 digits, "
+                              "Python's limit on integer strings\n")
+
+
+def test_report_values_at_the_printed_digit_cap_print(tmp_path, capsys):
+    # 2^14284 has 4300 digits, the most a printed integer may have
+    machine = write(tmp_path, "edge.machine", "0" * 14284 + " -\n1 1\n")
+    assert main(["machine-info", machine]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert len(str(2 ** 14284)) == 4300
+    assert total == ["total", f"{2 ** 14283 + 1}/{2 ** 14284}", "1/1", "pass"]

@@ -15,7 +15,8 @@ from helpers import (
     reference_output_mass,
     tiny_machine,
 )
-from randlab.exact import INF
+from randlab.cli import main
+from randlab.exact import INF, parse_rational
 from randlab.machines import (
     MachineError,
     MonotoneMachine,
@@ -58,7 +59,7 @@ def test_kraft_on_random_machines():
     rng = random.Random(1)
     for _ in range(50):
         machine = random_prefix_machine(rng)
-        assert machine.kraft_sum() <= 1
+        assert semimeasure_total(machine) <= 1
 
 
 def test_mass_dominates_shortest_program():
@@ -178,3 +179,35 @@ def test_monotone_output_prob_matches_input_enumeration(seed, max_len, extra, xs
     for x in ["", *xs, *rng.sample(produced, min(3, len(produced)))]:
         expected = reference_monotone_output_prob(mm, x, horizon)
         assert monotone_output_prob(mm, x, horizon) == expected
+
+
+@st.composite
+def mixed_length_tables(draw):
+    """A prefix-free table of programs of 0-3 bits and a few of 200-260 bits,
+    over outputs of at most two bits, so that outputs repeat across lengths.
+    Candidates are kept in draw order unless comparable with a kept one, and
+    the long ones are drawn first, so that short ones cannot crowd them out;
+    the table lists the kept programs in a drawn order, so that a longer
+    program may follow a shorter one of the same output."""
+    bits = lambda lo, hi: st.integers(lo, hi).flatmap(lambda n: st.text("01", min_size=n, max_size=n))
+    kept: list[str] = []
+    for word in draw(st.lists(bits(200, 260), max_size=3)) + draw(st.lists(bits(0, 3), max_size=12)):
+        if not any(word.startswith(p) or p.startswith(word) for p in kept):
+            kept.append(word)
+    return PrefixMachine({p: draw(st.text("01", max_size=2)) for p in draw(st.permutations(kept))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(machine=mixed_length_tables())
+def test_one_pass_matches_the_per_program_sums(tmp_path_factory, machine):
+    mass = machine.output_mass()
+    assert set(mass) == set(machine.entries.values())
+    assert all(mass[output] == reference_output_mass(machine, output) for output in mass)
+    assert semimeasure_total(machine) == sum((F(1, 2 ** len(p)) for p in machine.entries), F(0))
+    folder = tmp_path_factory.mktemp("table")
+    table, report = folder / "t.machine", folder / "r.tsv"
+    table.write_text("".join(f"{p or '-'} {o or '-'}\n" for p, o in machine.entries.items()), encoding="ascii")
+    assert main(["machine-info", str(table), "--out", str(report)]) == 0
+    rows = [line.split("\t") for line in report.read_text(encoding="ascii").splitlines()[1:]]
+    assert rows[-1][0] == "total" and all(row[3] == "output" for row in rows[:-1])
+    assert parse_rational(rows[-1][1]) == sum(map(parse_rational, (row[1] for row in rows[:-1])), F(0))

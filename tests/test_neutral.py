@@ -171,20 +171,20 @@ def test_search_builds_the_machine_table_once(monkeypatch):
     import randlab.machines as machines
 
     builds = []
-    build = machines.semimeasure_table
+    build = machines._mass_pass
 
-    def counting(machine):
-        builds.append(machine)
-        return build(machine)
+    def counting(entries):
+        builds.append(entries)
+        return build(entries)
 
-    monkeypatch.setattr(machines, "semimeasure_table", counting)
+    monkeypatch.setattr(machines, "_mass_pass", counting)
     seqs = ["0" * 6, "01" * 3, "11" * 3]
     first, second = canonical_machine(), canonical_machine()
     sperner_search(seqs, first, 6, 12)
-    assert builds == [first]
+    assert len(builds) == 1 and builds[0] is first.entries
     sperner_search(seqs, first, 6, 16)
     sperner_search(seqs, second, 6, 12)
-    assert builds == [first, second]
+    assert len(builds) == 2 and builds[1] is second.entries
 
 
 @st.composite

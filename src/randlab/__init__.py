@@ -56,6 +56,6 @@ from .separator import (
     class_plus_separator,
     separator_value,
 )
-from .neutral import NeutralInvariantError, SpernerCell, sperner_search
+from .neutral import SpernerCell, sperner_search
 
 __version__ = "0.1.0"

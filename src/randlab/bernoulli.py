@@ -59,7 +59,7 @@ def validate_combinatorial_test(test: ExtendedTest) -> Verdict:
             )
             if not ok_class and first is None:
                 first = f"class average at B({n},{k}) is {average} > 1"
-    return Verdict(ok=first is None, rows=rows, witness=first)
+    return Verdict(first is None, ("class", "average", "bound", "verdict"), rows, first)
 
 
 def extend_by_monotonicity(test: ExtendedTest, n_target: int) -> ExtendedTest:
@@ -119,7 +119,8 @@ def replacement_domination_check(n: int) -> Verdict:
     word = "0" * (n - k) + "1" * k
     ratio = Fraction(best_a * tosses, best_b * draws)
     row = (str(n), fmt(Fraction(N, N - n) ** n), fmt(ratio), f"K={K},x={word}", "pass" if ok else "fail")
-    return Verdict(ok=ok, rows=[row], witness=None if ok else (K, word))
+    header = ("n", "factor", "max_ratio", "argmax", "verdict")
+    return Verdict(ok, header, [row], None if ok else (K, word))
 
 
 def bernoulli_poly(test: ExtendedTest, n: int) -> tuple[list[int], int]:
@@ -163,4 +164,4 @@ def certify_bernoulli_test(test: ExtendedTest) -> Verdict:
         )
         if not ok_level and witness is None:
             witness = (n, bad_p)
-    return Verdict(ok=witness is None, rows=rows, witness=witness)
+    return Verdict(witness is None, ("level", "degree", "verdict", "witness"), rows, witness)

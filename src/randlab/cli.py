@@ -10,11 +10,14 @@ deterministic for identical inputs.  Help text wraps at 78 columns on
 every terminal.
 
 Each subcommand is one row of `SUBCOMMANDS`: a help line, its argument
-specs, and a `run(args)` that returns `(header, rows, ok)`.  `build_parser`
-makes a parser per subcommand with its help line; a subcommand's specs become
-arguments only when argparse dispatches to its parser, so a request builds
-the arguments of one subcommand.  `main` is the one place that renders a
-report, writes it, and maps `ok` to an exit code.
+specs, and a `run(args)` that returns a `randtests.Verdict`, which names
+its columns (`bernoulli-extend` returns a test file's text).  A `run` looks
+its kernels up by name when called (`rt.prob_bound_check`): the benchmark's
+tracer wraps module bindings only, not a kernel held in a table or closure.
+`build_parser` makes a parser per subcommand with its help line; a
+subcommand's specs become arguments only when argparse dispatches to its
+parser, so a request builds the arguments of one subcommand.  `main` is the
+one place that renders a report, writes it, and maps `ok` to an exit code.
 """
 from __future__ import annotations
 
@@ -52,10 +55,6 @@ from .measures import CapabilityError, MeasureError, all_words, count_upcrossing
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
-VERDICT = ("prefix", "value", "bound", "verdict")
-PLAN = ("x", "y", "flow")
-UPPER_SET = ("upper_set_word", "P(U)", "Q(U)")
-
 # Argument specs: a bare name is a positional argument, otherwise (flag, options).
 OUT = ("--out", {"help": "write the report to this path"})
 MEASURE = ("--measure", {"required": True, "help": "measure spec file"})
@@ -68,14 +67,14 @@ MODE = ("--mode", {"choices": ("martingale", "supermartingale"), "default": "mar
 def _validate_measure(args):
     measure = realize(parse_measure_spec_file(args.spec), args.depth)
     sums = [fmt_ratio(sum(row), measure.den) for row in measure.nums]
-    return VERDICT, [(f"len={n}", total, fmt(1), "pass") for n, total in enumerate(sums)], True
+    rows = [(f"len={n}", total, fmt(1), "pass") for n, total in enumerate(sums)]
+    return rt.Verdict(True, rt.VERDICT, rows)
 
 
 def _validate_test(args):
     test = parse_test_file(args.test)
     depth = args.depth if args.depth is not None else test.depth
-    verdict = rt.validate_extended_test(test, realize(parse_measure_spec_file(args.measure), depth))
-    return VERDICT, verdict.rows, verdict.ok
+    return rt.validate_extended_test(test, realize(parse_measure_spec_file(args.measure), depth))
 
 
 def _deficiency(args):
@@ -93,13 +92,14 @@ def _deficiency(args):
     measure = realize(parse_measure_spec_file(args.measure), depth)
     profile = rt.deficiency_profile(prefix_machine, monotone_machine, measure, sequence[:depth])
     header = ("prefix", "m_ratio", "sum", "sup", "tbar", "that", "M_ratio", "flag", "sum_over_sup")
-    return header, profile.tsv_rows(), True
+    return rt.Verdict(True, header, profile.tsv_rows())
 
 
 def _min_extension(args):
     test = parse_test_file(args.test)
     x = parse_word(args.prefix)
-    return VERDICT, [(format_word(x), fmt(rt.min_extension(test, x)), "-", "ok")], True
+    row = (format_word(x), fmt(rt.min_extension(test, x)), "-", "ok")
+    return rt.Verdict(True, rt.VERDICT, [row])
 
 
 def _cond_average(args):
@@ -108,20 +108,19 @@ def _cond_average(args):
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
     value = rt.conditional_average(test, measure, x)
     flagged = measure.mass(x) == 0 and value == 0
-    return VERDICT, [(format_word(x), fmt(value), "-", "flagged" if flagged else "ok")], True
+    row = (format_word(x), fmt(value), "-", "flagged" if flagged else "ok")
+    return rt.Verdict(True, rt.VERDICT, [row])
 
 
 def _martingale(args):
     test = parse_test_file(args.g)
     measure = realize(parse_measure_spec_file(args.measure), test.depth)
-    verdict = rt.martingale_check(test, measure, args.mode)
-    return ("prefix", "lhs", "rhs", "verdict"), verdict.rows, verdict.ok
+    return rt.martingale_check(test, measure, args.mode)
 
 
 def _prob_check(args):
     test = parse_test_file(args.test)
-    v = rt.prob_bound_check(test, realize(parse_measure_spec_file(args.measure), test.depth))
-    return VERDICT, v.rows, v.ok
+    return rt.prob_bound_check(test, realize(parse_measure_spec_file(args.measure), test.depth))
 
 
 def _convert(args):
@@ -130,28 +129,23 @@ def _convert(args):
     converted, average = rt.prob_to_avg_convert(test, measure)
     rows = [(x, v, "-", "value") for x, v in format_values(converted)]
     rows.append(("leaf-average", fmt(average), fmt(rt.CONVERT_AVG_BOUND), "pass"))
-    return VERDICT, rows, True
+    return rt.Verdict(True, rt.VERDICT, rows)
 
 
 def _bernoulli_validate(args):
-    test = parse_test_file(args.test)
-    verdict = bl.validate_combinatorial_test(test)
-    return ("class", "average", "bound", "verdict"), verdict.rows, verdict.ok
+    return bl.validate_combinatorial_test(parse_test_file(args.test))
 
 
 def _bernoulli_extend(args):
-    test = parse_test_file(args.test)
-    return None, render_test_file(bl.extend_by_monotonicity(test, args.depth)), True
+    return render_test_file(bl.extend_by_monotonicity(parse_test_file(args.test), args.depth))
 
 
 def _urn_check(args):
-    verdict = bl.replacement_domination_check(args.n)
-    return ("n", "factor", "max_ratio", "argmax", "verdict"), verdict.rows, verdict.ok
+    return bl.replacement_domination_check(args.n)
 
 
 def _certify_bernoulli(args):
-    verdict = bl.certify_bernoulli_test(parse_test_file(args.test))
-    return ("level", "degree", "verdict", "witness"), verdict.rows, verdict.ok
+    return bl.certify_bernoulli_test(parse_test_file(args.test))
 
 
 def _lower_upper(args):
@@ -161,21 +155,19 @@ def _lower_upper(args):
 
 def _coupling(args):
     cp._refuse_past_cap(args.depth)  # before either table is realized
-    verdict = cp.is_coupled_below(*_lower_upper(args), args.depth)
-    return PLAN if verdict.ok else UPPER_SET, verdict.rows, verdict.ok
+    return cp.is_coupled_below(*_lower_upper(args), args.depth)
 
 
 def _monotone_criterion(args):
     cp.enumerate_upper_sets(args.depth)  # refuses n > 4 before a table is built; the check reuses it
-    verdict = cp.monotone_criterion_check(*_lower_upper(args), args.depth)
-    return UPPER_SET, verdict.rows, verdict.ok
+    return cp.monotone_criterion_check(*_lower_upper(args), args.depth)
 
 
 def _monotonize(args):
     test = parse_test_file(args.test)
     hull, den = cp.submask_hull(test.nums[-1]), test.den
     words = map(format_word, all_words(test.depth))
-    return ("word", "value"), list(zip(words, fmt_ratios(hull, den))), True
+    return rt.Verdict(True, ("word", "value"), list(zip(words, fmt_ratios(hull, den))))
 
 
 def _sparsity(args):
@@ -186,7 +178,8 @@ def _sparsity(args):
     value = cp.sparsity_value(test, x)
     row = (format_word(x), fmt(value), f"depth-{test.depth}-lower-bound",
            "ok" if verdict.ok else "invalid-test")
-    return VERDICT, verdict.rows + [row], verdict.ok
+    verdict.rows.append(row)
+    return verdict
 
 
 def _separator(args):
@@ -198,15 +191,14 @@ def _separator(args):
             n = int(args.target)
         except ValueError as exc:
             raise ParseError("--certify expects an integer block length") from exc
-        verdict = sp.chebyshev_tail_check(n, p)
-        return ("n", "p", "mu", "deviating_counts", "verdict"), verdict.rows, verdict.ok
+        return sp.chebyshev_tail_check(n, p)
     omega = parse_sequence_file(args.target)
     rows = sp.separator_value(omega, p).tsv_rows()
     if args.class_test:
         class_test = parse_test_file(args.class_test)
         composite = sp.class_plus_separator(omega[: class_test.depth], p, class_test)
         rows.append(("composite", *composite.tsv_rows()[0]))
-    return ("k", "block", "count", "verdict"), rows, True
+    return rt.Verdict(True, ("k", "block", "count", "verdict"), rows)
 
 
 def _upcrossings(args):
@@ -214,7 +206,7 @@ def _upcrossings(args):
     x = parse_word(args.block)
     alpha, beta = parse_rational(args.alpha), parse_rational(args.beta)
     row = (format_word(x), fmt(alpha), fmt(beta), str(count_upcrossings(omega, x, alpha, beta)))
-    return ("block", "alpha", "beta", "count"), [row], True
+    return rt.Verdict(True, ("block", "alpha", "beta", "count"), [row])
 
 
 def _neutral(args):
@@ -229,11 +221,12 @@ def _neutral(args):
         machine = canonical_machine()
     depth = args.depth if args.depth is not None else min(len(s) for s in sequences)
     cell = nt.sperner_search(sequences, machine, depth, args.resolution)
+    m, diameter = cell.resolution, fmt(cell.diameter)
     rows = [
-        (",".join(fmt(w) for w in mix.weights), str(label), fmt(value), fmt(cell.diameter))
-        for mix, label, value in zip(cell.vertices, cell.labels, cell.values)
+        (",".join(fmt_ratio(c, m) for c in point), str(label), fmt(value), diameter)
+        for point, label, value in zip(cell.points, cell.labels, cell.values)
     ]
-    return ("weights", "label", "value", "diameter"), rows, True
+    return rt.Verdict(True, ("weights", "label", "value", "diameter"), rows)
 
 
 def _machine_info(args):
@@ -241,7 +234,7 @@ def _machine_info(args):
     if isinstance(machine, MonotoneMachine):
         rows = [(format_word(p), format_word(o), "-", "entry") for p, o in machine.entries]
         rows.append(("consistent", "-", "-", "pass"))
-        return ("program", "output", "kp", "verdict"), rows, True
+        return rt.Verdict(True, ("program", "output", "kp", "verdict"), rows)
     mass, total = machine.output_mass(), semimeasure_total(machine)
     shortest: dict[str, int] = {}  # shortest program length per output, in one pass
     for program, output in machine.entries.items():
@@ -249,7 +242,7 @@ def _machine_info(args):
     outputs = sorted(mass, key=lambda w: (len(w), w))
     rows = [(format_word(w), fmt(mass[w]), fmt(shortest[w]), "output") for w in outputs]
     rows.append(("total", fmt(total), fmt(1), "pass"))
-    return ("word", "mass", "kp", "verdict"), rows, True
+    return rt.Verdict(True, ("word", "mass", "kp", "verdict"), rows)
 
 
 #: name -> (help line, argument specs, run); every subcommand also takes `--out`.
@@ -341,19 +334,20 @@ def main(argv: list[str] | None = None) -> int:
         # next automatic collection it survives into the request's own peak.
         gc.collect(1)
         try:
-            header, rows, ok = args.run(args)
+            report = args.run(args)
         except (MachineError, MeasureError) as exc:
             # a machine error names a pair of programs, a measure error one prefix
             words = getattr(exc, "pair", None) or (getattr(exc, "prefix", None) or "",)
-            header, ok = ("error", "witness", "detail"), False
-            rows = [("validation", ",".join(map(format_word, words)), str(exc))]
-        text = rows if header is None else render_tsv(header, rows)
+            row = ("validation", ",".join(map(format_word, words)), str(exc))
+            report = rt.Verdict(False, ("error", "witness", "detail"), [row])
+        extended = isinstance(report, str)  # `bernoulli-extend`: a test file, not a report
+        text = report if extended else render_tsv(report.header, report.rows)
         if args.out:
             with open(args.out, "w", encoding="ascii", newline="\n") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-        return OK if ok else VIOLATION
+        return OK if extended or report.ok else VIOLATION
     except SystemExit as exc:  # `--help` prints its text and exits 0
         return USAGE if exc.code not in (0, None) else OK
     except CapabilityError as exc:

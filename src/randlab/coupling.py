@@ -200,8 +200,12 @@ def is_coupled_below(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verdict:
         words = all_words(n)
         flow = {(words[x], words[y]): Fraction(v, scale) for (x, y), v in plan.items()}
         rows = [(format_word(x), format_word(y), fmt(v)) for (x, y), v in sorted(flow.items())]
-        return Verdict(ok=True, rows=rows, witness=flow)
+        return Verdict(True, ("x", "y", "flow"), rows, flow)
     return _refuted(n, [x for x, inside in enumerate(reachable) if inside], supply, demand, scale)
+
+
+#: The columns of an upper-set report: a row per word of U, with P(U) and Q(U).
+UPPER_SET = ("upper_set_word", "P(U)", "Q(U)")
 
 
 def _refuted(n: int, upper: Sequence[int], p_row: list[int], q_row: list[int], scale: int) -> Verdict:
@@ -213,7 +217,7 @@ def _refuted(n: int, upper: Sequence[int], p_row: list[int], q_row: list[int], s
         raise AssertionError("min-cut certificate failed to separate the masses")
     words = [_word(x, n) for x in upper]
     rows = [(format_word(y), fmt(p_u), fmt(q_u)) for y in words]
-    return Verdict(ok=False, rows=rows, witness=(words, p_u, q_u))
+    return Verdict(False, UPPER_SET, rows, (words, p_u, q_u))
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +249,7 @@ def monotone_criterion_check(P: DyadicMeasure, Q: DyadicMeasure, n: int) -> Verd
     for upper in enumerate_upper_sets(n):
         if sum(p_row[x] for x in upper) > sum(q_row[x] for x in upper):
             return _refuted(n, upper, p_row, q_row, scale)
-    return Verdict(ok=True, rows=[("all", "-", "pass")])
+    return Verdict(True, UPPER_SET, [("all", "-", "pass")])
 
 
 def submask_hull(row: list[V]) -> list[V]:

@@ -38,6 +38,7 @@ from .exact import CapabilityError, _common_denominator
 
 __all__ = [
     "MAX_DEPTH",
+    "MAX_TABLE_BITS",
     "CapabilityError",
     "MeasureError",
     "validate_bits",
@@ -58,6 +59,10 @@ __all__ = [
 
 #: Deepest prefix table any walk builds: 2^17 - 1 prefixes.
 MAX_DEPTH = 16
+#: Most bits a realized measure table may span, counted as its 2^(depth+1)
+#: entries times the bit length of its one denominator: 512 bits at depth
+#: 16 (a coin b^16 with b < 2^32), 2^14 at depth 11.
+MAX_TABLE_BITS = 2 ** 26
 
 V = TypeVar("V")
 
@@ -74,6 +79,16 @@ def validate_bits(word: str) -> str:
     if word.strip("01"):
         raise ValueError(f"not a binary word: {word!r}")
     return word
+
+
+def _sized(depth: int, den: int) -> int:
+    """`den` itself, refused when a depth-`depth` table over it would pass
+    `MAX_TABLE_BITS`; `depth` is already capped."""
+    bits = (2 << depth) * den.bit_length()
+    if bits > MAX_TABLE_BITS:
+        raise CapabilityError(f"measure tables are capped at {MAX_TABLE_BITS} bits (2^(depth+1) entries "
+                              f"times the denominator's bit length), got {bits} at depth {depth}")
+    return den
 
 
 def _capped(depth: int) -> int:
@@ -341,22 +356,25 @@ def _leaves(spec: MeasureSpec, depth: int, rows: dict[int, tuple[list[int], int]
     Bernoulli(a/b) gives each word with k ones (b-a)^(depth-k) a^k over
     b^depth, one int per class; a table gives its own level row; a mixture
     puts its parts' rows over the lcm of (weight denominator x part
-    denominator), summing a shared part once (`rows` holds them by id)."""
+    denominator), summing a shared part once (`rows` holds them by id).
+    Every denominator is refused past `MAX_TABLE_BITS` before a row over it
+    is built."""
     if isinstance(spec, Bernoulli):
         a, b = spec.p.numerator, spec.p.denominator
         size = 1 << _capped(depth)
+        den = _sized(depth, b ** depth)
         masses = [(b - a) ** (depth - k) * a ** k for k in range(depth + 1)]
-        return [masses[i.bit_count()] for i in range(size)], b ** depth
+        return [masses[i.bit_count()] for i in range(size)], den
     if isinstance(spec, DyadicMeasure):
         if depth > spec.depth:
             raise ValueError(f"table of depth {spec.depth} cannot realize depth {depth}")
-        return spec.nums[_capped(depth)], spec.den
+        return spec.nums[_capped(depth)], _sized(depth, spec.den)
     if isinstance(spec, Mixture):
         for part in spec.parts:
             rows[id(part)] = rows.get(id(part)) or _leaves(part, depth, rows)
         parts = [rows[id(part)] for part in spec.parts]
         scales = [w.denominator * den for w, (_, den) in zip(spec.weights, parts)]
-        den = lcm(*scales)
+        den = _sized(depth, lcm(*scales))
         row = [0] * (1 << depth)
         for w, (part, _), scale in zip(spec.weights, parts, scales):
             factor = w.numerator * (den // scale)

@@ -22,8 +22,6 @@ from .measures import CapabilityError, validate_bits
 
 __all__ = [
     "MAX_KUHN_CHAINS",
-    "NeutralInvariantError",
-    "PointMixture",
     "SpernerCell",
     "sperner_search",
 ]
@@ -35,38 +33,23 @@ __all__ = [
 MAX_KUHN_CHAINS = 2 ** 17
 
 
-class NeutralInvariantError(AssertionError):
-    """No admissible label at a grid point: the machine mass must exceed 1."""
-
-
-@dataclass(frozen=True)
-class PointMixture:
-    """Barycentric weights over the point masses of the input sequences."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
-        if any(w < 0 for w in self.weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise ValueError("mixture weights must sum to 1 exactly")
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
-
-
 @dataclass
 class SpernerCell:
-    """A fully labelled cell: vertex i carries label `labels[i]`, and the
-    sequence with that index scores at most 1 at that vertex (`values[i]`)."""
+    """A fully labelled cell of the grid at step 1/`resolution`: vertex i is
+    the integer grid point `points[i]`, counts c summing to `resolution`
+    (the mixture with weight c_j / resolution on sequence j); it carries
+    label `labels[i]`, and the sequence with that index scores at most 1
+    there (`values[i]`)."""
 
-    vertices: tuple[PointMixture, ...]
+    points: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
     values: tuple[Fraction, ...]
-    diameter: Fraction
+    resolution: int
+
+    @property
+    def diameter(self) -> Fraction:
+        """The cell's l1-diameter bound over k sequences, 2(k-1)/resolution."""
+        return Fraction(2 * (len(self.labels) - 1), self.resolution)
 
 
 def _grid_points(k: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -135,10 +118,8 @@ def _labeller(
                 num, div = num * total + a * div, div * total
             if m * num <= den * div:
                 return i, m * num, den * div
-        raise NeutralInvariantError(
-            f"no admissible label at grid point {point}: "
-            "machine output mass exceeds 1"
-        )
+        raise AssertionError(f"no admissible label at grid point {point}: "
+                             "machine output mass exceeds 1")
 
     return label_of
 
@@ -156,8 +137,8 @@ def sperner_search(
     deficiency there is at most 1.  Every label reads the machine's output
     mass from the one table that :meth:`PrefixMachine.output_mass` keeps, so
     a search builds it at most once.  The admissibility of that rule is
-    exactly the machine's output-mass budget; if it ever fails,
-    :class:`NeutralInvariantError` is raised.
+    exactly the machine's output-mass budget; if it ever fails, an
+    AssertionError is raised.
     """
     k = len(sequences)
     if k < 1:
@@ -182,14 +163,9 @@ def sperner_search(
 
     m = resolution
     label_of = _labeller(sequences, machine, depth, m)
-
-    def to_mixture(point: tuple[int, ...]) -> PointMixture:
-        return PointMixture(tuple(Fraction(c, m) for c in point))
-
     labels: dict[tuple[int, ...], tuple[int, int, int]] = {}
     everyone = set(range(k))
     moves = list(itertools.permutations(range(k - 1)))
-    diameter_bound = Fraction(2 * (k - 1), m)
     for base in _grid_points(k, m):
         for chain in _kuhn_cells(base, moves):
             seen = []
@@ -199,12 +175,12 @@ def sperner_search(
                 seen.append(labels[v])
             if {idx for idx, _, _ in seen} == everyone:
                 return SpernerCell(
-                    vertices=tuple(to_mixture(v) for v in chain),
+                    points=tuple(chain),
                     labels=tuple(idx for idx, _, _ in seen),
                     values=tuple(Fraction(num, den) for _, num, den in seen),
-                    diameter=diameter_bound,
+                    resolution=m,
                 )
-    raise NeutralInvariantError(
+    raise AssertionError(
         "no fully labelled cell found; the labelling violates Sperner's "
         "boundary condition, which cannot happen for a valid machine"
     )

@@ -39,6 +39,7 @@ from .measures import (
 __all__ = [
     "ExtendedTest",
     "Verdict",
+    "VERDICT",
     "validate_extended_test",
     "from_weights",
     "DeficiencyProfile",
@@ -170,10 +171,11 @@ def _dot(a: list[int], b: list[int]) -> int:
 
 @dataclass
 class Verdict:
-    """An exact check: `ok`, its report rows and a witness.
+    """An exact check: `ok`, its report's column names and rows, and a witness.
 
-    Rows are tuples of strings, one per column of the report's header.  The
-    witness is None when the check holds, except for a coupling, and
+    Every kernel that decides a check names its own columns: `header` is a
+    tuple of column names, and each row a tuple of strings, one per column.
+    The witness is None when the check holds, except for a coupling, and
     otherwise refutes it.  Its form per check:
 
     - `validate_extended_test`, `bernoulli.validate_combinatorial_test`: a
@@ -192,8 +194,13 @@ class Verdict:
     """
 
     ok: bool
+    header: tuple[str, ...]
     rows: list[tuple[str, ...]]
     witness: object = None
+
+
+#: The columns of a check reported one prefix or one level per row.
+VERDICT = ("prefix", "value", "bound", "verdict")
 
 
 def validate_extended_test(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
@@ -220,7 +227,7 @@ def validate_extended_test(test: ExtendedTest, measure: DyadicMeasure) -> Verdic
         if not ok_level and first is None:
             first = f"level {length} average {average} exceeds 1"
 
-    return Verdict(ok=first is None, rows=rows, witness=first)
+    return Verdict(first is None, VERDICT, rows, first)
 
 
 def from_weights(
@@ -413,10 +420,11 @@ def martingale_check(
         (_word(i, length), _ratio(lhs, den), _ratio(rhs, den))
         for length, i, lhs, rhs in _unbalanced_parents(products, fails)
     ]
+    header = ("prefix", "lhs", "rhs", "verdict")
     if not failures:
-        return Verdict(ok=True, rows=[("all", "-", "-", f"{mode}:pass")])
+        return Verdict(True, header, [("all", "-", "-", f"{mode}:pass")])
     rows = [(x or "-", fmt(lhs), fmt(rhs), f"{mode}:fail") for x, lhs, rhs in failures]
-    return Verdict(ok=False, rows=rows, witness=failures)
+    return Verdict(False, header, rows, failures)
 
 
 def _ratio(num, den: int) -> Ext:
@@ -429,7 +437,8 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     The tail mass is a step function of N that only changes at leaf values,
     so the bound holds for all N exactly when v * P{T >= v} <= 1 at every
     distinct positive leaf value v.  The leaf masses are grouped by value
-    once, and each tail P{T >= v} is a suffix sum over the sorted values.
+    once and read in increasing value: the tail P{T >= v} starts at the
+    level's total mass and loses each value's mass after that value's row.
     On failure the witness is (N, P{T > N}) for a rational N strictly
     between the previous value and v with P{T > N} > 1/N; no leaf value lies
     in that gap, so P{T > N} is the tail at v.  One row per positive value,
@@ -442,29 +451,24 @@ def prob_bound_check(test: ExtendedTest, measure: DyadicMeasure) -> Verdict:
     mass_at: dict[int, int] = {}
     for v, m in zip(test.nums[-1], measure.nums[test.depth]):
         mass_at[v] = mass_at.get(v, 0) + m
-    distinct = sorted(mass_at)
-    tails: dict[int, int] = {}
-    running = 0
-    for v in reversed(distinct):
-        running += mass_at[v]
-        tails[v] = running
     rows = []
     witness = None
     previous = Fraction(0)
-    for num in distinct:
-        if num == 0:
-            continue
-        v, tail = Fraction(num, td), Fraction(tails[num], md)
-        ok_v = num * tails[num] <= td * md
-        rows.append((f"value={fmt(v)}", fmt(tail), fmt(v * tail), "pass" if ok_v else "fail"))
-        if not ok_v and witness is None:
-            lower = max(previous, 1 / tail)
-            witness = ((lower + v) / 2, tail)
-        previous = v
+    tail = md  # the numerator of P{T >= v}, over md: every leaf at first
+    for num in sorted(mass_at):
+        if num:
+            v, mass = Fraction(num, td), Fraction(tail, md)
+            ok_v = num * tail <= td * md
+            rows.append((f"value={fmt(v)}", fmt(mass), fmt(v * mass), "pass" if ok_v else "fail"))
+            if not ok_v and witness is None:
+                lower = max(previous, 1 / mass)
+                witness = ((lower + v) / 2, mass)
+            previous = v
+        tail -= mass_at[num]
     if witness is not None:
-        n_value, tail = witness
-        rows.append((f"witness-N={fmt(n_value)}", fmt(tail), fmt(1 / n_value), "fail"))
-    return Verdict(ok=witness is None, rows=rows or [("all", "-", "-", "pass")], witness=witness)
+        n_value, mass = witness
+        rows.append((f"witness-N={fmt(n_value)}", fmt(mass), fmt(1 / n_value), "fail"))
+    return Verdict(witness is None, VERDICT, rows or [("all", "-", "-", "pass")], witness)
 
 
 def _sum_inverse_squares_bound(terms: int = 50) -> Fraction:

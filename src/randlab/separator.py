@@ -78,7 +78,7 @@ def chebyshev_tail_check(n: int, p: Fraction) -> Verdict:
     ok = mu.numerator ** 5 * n < mu.denominator ** 5
     counts = ",".join(map(str, deviating)) or "-"
     row = (str(n), fmt(p), fmt(mu), counts, "certified" if ok else "fail")
-    return Verdict(ok=ok, rows=[row], witness=None if ok else mu)
+    return Verdict(ok, ("n", "p", "mu", "deviating_counts", "verdict"), [row], None if ok else mu)
 
 
 def _normalizer_bound() -> Fraction:

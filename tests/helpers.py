@@ -28,7 +28,7 @@ from randlab.measures import (
     realize,
     validate_bits,
 )
-from randlab.neutral import NeutralInvariantError, PointMixture, SpernerCell
+from randlab.neutral import SpernerCell
 from randlab.randtests import convert_value, ExtendedTest, Verdict, from_weights
 
 def report(name: str, limit: float, started: float) -> None:
@@ -278,6 +278,9 @@ def hypergeom_prefix_prob(N: int, K: int, x: str) -> Fraction:
     return prob
 
 
+URN_HEADER = ("n", "factor", "max_ratio", "argmax", "verdict")
+
+
 def reference_urn_check(n: int) -> Verdict:
     """The urn bound at N = n^2 scored on every length-n word, K by K in
     word order: the definition `replacement_domination_check` must agree with."""
@@ -296,7 +299,7 @@ def reference_urn_check(n: int) -> Verdict:
                 argmax = (K, x)
     where = f"K={argmax[0]},x={argmax[1]}"
     row = (str(n), fmt(factor), fmt(max_ratio), where, "pass" if ok else "fail")
-    return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
+    return Verdict(ok=ok, header=URN_HEADER, rows=[row], witness=None if ok else argmax)
 
 
 def reference_urn_check_by_class(n: int) -> Verdict:
@@ -321,7 +324,7 @@ def reference_urn_check_by_class(n: int) -> Verdict:
                 argmax = (K, "0" * (n - k) + "1" * k)
     where = f"K={argmax[0]},x={argmax[1]}"
     row = (str(n), fmt(factor), fmt(max_ratio), where, "pass" if ok else "fail")
-    return Verdict(ok=ok, rows=[row], witness=None if ok else argmax)
+    return Verdict(ok=ok, header=URN_HEADER, rows=[row], witness=None if ok else argmax)
 
 
 def words_with_ones(n: int, k: int) -> list[str]:
@@ -686,7 +689,7 @@ def random_listed(rng: random.Random, depth: int, inf: bool = False) -> dict:
 
 
 def mixture_deficiency(
-    weights: PointMixture | Sequence[Fraction],
+    weights: Sequence[Fraction],
     sequences: Sequence[str],
     i: int,
     machine: PrefixMachine,
@@ -699,12 +702,12 @@ def mixture_deficiency(
     Infinite as soon as some prefix of sequence i has machine mass but no
     mixture mass.
     """
-    mix = weights if isinstance(weights, PointMixture) else PointMixture(tuple(weights))
+    weights = tuple(map(Fraction, weights))
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not 0 <= i < len(sequences):
         raise ValueError("sequence index out of range")
-    if len(mix.weights) != len(sequences):
+    if len(weights) != len(sequences):
         raise ValueError("one weight per sequence required")
     for omega in sequences:
         validate_bits(omega)
@@ -719,7 +722,7 @@ def mixture_deficiency(
         if m == 0:
             continue
         mix_mass = sum(
-            (w for w, omega in zip(mix.weights, sequences) if omega.startswith(x)),
+            (w for w, omega in zip(weights, sequences) if omega.startswith(x)),
             Fraction(0),
         )
         ratio, _ = div_ratio(m, mix_mass)
@@ -727,33 +730,35 @@ def mixture_deficiency(
     return total
 
 
+def grid_weights(point: Sequence[int], resolution: int) -> tuple[Fraction, ...]:
+    """The mixture weights c / resolution of an integer grid point."""
+    return tuple(Fraction(c, resolution) for c in point)
+
+
 def reference_sperner_search(sequences, machine: PrefixMachine, depth: int, resolution: int) -> SpernerCell:
     """The Sperner search with every label taken from `mixture_deficiency`
-    over `PointMixture`s, the grid listed by sorting the multisets of
-    `combinations_with_replacement`, and the Kuhn chains rebuilt at every
-    base point: the definition that `sperner_search` must agree with."""
+    over the grid points' `Fraction` weights, the grid listed by sorting the
+    multisets of `combinations_with_replacement`, and the Kuhn chains
+    rebuilt at every base point: the definition that `sperner_search` must
+    agree with."""
     k, m = len(sequences), resolution
-
-    def to_mixture(point):
-        return PointMixture(tuple(Fraction(c, m) for c in point))
-
     labels = {}
 
     def label_of(point):
         if point not in labels:
-            mix = to_mixture(point)
-            for i in mix.support():
-                value = mixture_deficiency(mix, sequences, i, machine, depth)
+            weights = grid_weights(point, m)
+            for i in (i for i, w in enumerate(weights) if w):
+                value = mixture_deficiency(weights, sequences, i, machine, depth)
                 if value is not INF and value <= 1:
                     labels[point] = (i, value)
                     break
             else:
-                raise NeutralInvariantError(f"no admissible label at grid point {point}")
+                raise AssertionError(f"no admissible label at grid point {point}")
         return labels[point]
 
     if k == 1:
         idx, value = label_of((m,))
-        return SpernerCell((to_mixture((m,)),), (idx,), (value,), Fraction(0))
+        return SpernerCell(((m,),), (idx,), (value,), m)
     points = []
     for combo in itertools.combinations_with_replacement(range(k), m):
         counts = [0] * k
@@ -774,9 +779,9 @@ def reference_sperner_search(sequences, machine: PrefixMachine, depth: int, reso
                 seen = [label_of(v) for v in chain]
                 if {idx for idx, _ in seen} == set(range(k)):
                     return SpernerCell(
-                        tuple(to_mixture(v) for v in chain),
+                        tuple(chain),
                         tuple(idx for idx, _ in seen),
                         tuple(value for _, value in seen),
-                        Fraction(2 * (k - 1), m),
+                        m,
                     )
-    raise NeutralInvariantError("no fully labelled cell found")
+    raise AssertionError("no fully labelled cell found")

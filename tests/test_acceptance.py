@@ -13,6 +13,7 @@ from pathlib import Path
 
 from helpers import (
     check_pushdown,
+    grid_weights,
     leq_words,
     level,
     mixture_deficiency,
@@ -238,15 +239,15 @@ def test_criterion_11_sperner_neutral_search():
     pair = ["0" * 8, "1" * 8]
     cell2 = sperner_search(pair, machine, 8, 64)
     assert sorted(cell2.labels) == [0, 1]
-    for mix, label, value in zip(cell2.vertices, cell2.labels, cell2.values):
+    for point, label, value in zip(cell2.points, cell2.labels, cell2.values):
         assert value <= 1
-        assert value == mixture_deficiency(mix, pair, label, machine, 8)
+        assert value == mixture_deficiency(grid_weights(point, 64), pair, label, machine, 8)
     triple = ["0" * 8, "01" * 4, "11" * 4]
     cell3 = sperner_search(triple, machine, 8, 32)
     assert sorted(cell3.labels) == [0, 1, 2]
-    for mix, label, value in zip(cell3.vertices, cell3.labels, cell3.values):
+    for point, label, value in zip(cell3.points, cell3.labels, cell3.values):
         assert value <= 1
-        assert value == mixture_deficiency(mix, triple, label, machine, 8)
+        assert value == mixture_deficiency(grid_weights(point, 32), triple, label, machine, 8)
     report("criterion 11: Sperner neutral-mixture search", 120.0, started)
 
 

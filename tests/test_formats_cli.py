@@ -675,6 +675,9 @@ def test_malformed_test_files_keep_their_message(tmp_path, capsys, content, code
     assert err == (message.format(path=repr(path)) + "\n" if message else "")
 
 
+TABLE_CAP = ("capability error: measure tables are capped at 67108864 bits (2^(depth+1) entries "
+             "times the denominator's bit length), got {bits} at depth {depth}")
+
 # a known kind with the wrong count of header tokens
 WRONG_HEADERS = ["bernoulli", "bernoulli 1/2 1/3", "table", "table 1 2", "mix 1"]
 
@@ -714,6 +717,13 @@ WRONG_HEADERS = ["bernoulli", "bernoulli 1/2 1/3", "table", "table 1 2", "mix 1"
         (["validate-measure", "pair.measure", "--depth", "1"], "bad bernoulli line '0 1' in 'pair.measure'"),
         (["coupling", "u.measure", "u.measure", "--depth", "-1"], "depth must be nonnegative"),
         (["monotone-criterion", "u.measure", "u.measure", "--depth", "-1"], "depth must be nonnegative"),
+        # a measure table past the bit cap is refused before any row is built:
+        # 2^(depth+1) entries times the bit length of 10^(300*16), and of the
+        # mix's 2^289 3^176, whose parts each pass on their own
+        (["validate-measure", "z300.measure", "--depth", "16"], TABLE_CAP.format(bits=2090074112, depth=16)),
+        (["validate-measure", "z1000.measure", "--depth", "12"], TABLE_CAP.format(bits=326565888, depth=12)),
+        (["martingale", "one16.test", "--measure", "z300.measure"], TABLE_CAP.format(bits=2090074112, depth=16)),
+        (["validate-measure", "wide.measure", "--depth", "16"], TABLE_CAP.format(bits=74448896, depth=16)),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -732,9 +742,16 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message)
         write(tmp_path, f"h{i}.measure", header + "\n")
     write(tmp_path, "body.measure", "bernoulli 1/2\nthis line is ignored\n0 1 2\n")
     write(tmp_path, "pair.measure", "bernoulli 1/2\n0 1\n")
+    write(tmp_path, "z300.measure", "bernoulli 1/1" + "0" * 300 + "\n")
+    write(tmp_path, "z1000.measure", "bernoulli 1/1" + "0" * 1000 + "\n")
+    write(tmp_path, "one16.test", "test 16\n- 1/1\n")
+    write(tmp_path, "coin2.measure", f"bernoulli 1/{2 ** 18}\n")
+    write(tmp_path, "coin3.measure", f"bernoulli 1/{3 ** 11}\n")
+    write(tmp_path, "wide.measure", "mix\n1/2 coin2.measure\n1/2 coin3.measure\n")
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {message}\n")
+    line = message if message.startswith("capability error: ") else f"error: {message}"
+    assert (out, err) == ("", f"{line}\n")
 
 
 @pytest.mark.parametrize(

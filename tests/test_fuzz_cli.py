@@ -23,6 +23,9 @@ BAD_RATIONALS = ["-1/3", "1/0", "a/b", "1//2", "1.5"]
 DEPTHS = ["0", "1", "2", "3", "4", "-1", "x", "17"]
 FILES = ["m.measure", "n.measure", "t.test", "k.machine", "q.seq", "missing.measure"]
 OPTION_LIKE = ["--", "-x", "--bogus"]
+# coins whose denominators pass the measure-table bit cap at depth 16 (and
+# the 1000-digit one from depth 10), refused before any row is built
+HUGE_RATIONALS = ["1/1" + "0" * 300, "1/1" + "0" * 1000]
 
 # Mostly well-formed pieces, so that most files get past the parsers and
 # into the kernels; the rest are malformed in one place or another.
@@ -33,6 +36,7 @@ rational = st.one_of(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 9), st.integers(1, 9)),
     st.integers(0, 3).map(str),
     st.sampled_from(BAD_RATIONALS),
+    st.sampled_from(HUGE_RATIONALS),
 )
 pair = st.builds("{} {}".format, word, rational)
 noise = st.text(alphabet="01-/ x#", max_size=12)
@@ -172,7 +176,10 @@ listed_test = st.integers(0, 3).flatmap(
 @given(
     st.fixed_dictionaries(
         {
-            "m.measure": st.one_of(coin, leaves, st.builds("table 1\n0 {}\n1 {}".format, fraction, fraction)),
+            "m.measure": st.one_of(
+                coin, leaves, st.builds("table 1\n0 {}\n1 {}".format, fraction, fraction),
+                st.sampled_from(HUGE_RATIONALS).map("bernoulli {}".format),
+            ),
             "n.measure": st.one_of(coin, leaves),
             "t.test": listed_test,
             "k.machine": st.sampled_from(["0 1\n10 -\n11 11\n", "- 0\n", "monotone\n0 1\n01 10\n"]),

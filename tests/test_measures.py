@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from helpers import bernoulli_mass, level, point_mass, reference_upcrossings, shipped_measure_specs
 from randlab.measures import (
     MAX_DEPTH,
+    MAX_TABLE_BITS,
     Bernoulli,
     CapabilityError,
     DyadicMeasure,
@@ -226,3 +227,25 @@ def test_walks_refuse_past_the_depth_cap():
         fill_down(MAX_DEPTH + 1, 0, lambda above, n: above * 2)
     with pytest.raises(CapabilityError):
         fold_up([0] * 2 ** (MAX_DEPTH + 1), operator.add)
+
+
+def test_realize_refuses_a_table_past_the_bit_cap_before_its_rows():
+    # 2^(depth+1) entries times the denominator's bit length: b^16 with
+    # b = 2^32 - 1 has 512 bits, exactly the cap at depth 16; 2^32 one more
+    at_cap = realize(Bernoulli(F(2 ** 31, 2 ** 32 - 1)), 16)
+    assert (2 << 16) * at_cap.den.bit_length() == MAX_TABLE_BITS
+    with pytest.raises(CapabilityError, match="got 67239936 at depth 16"):
+        realize(Bernoulli(F(1, 2 ** 32)), 16)
+    assert realize(Bernoulli(F(1, 2 ** 32)), 15).den == 2 ** 480
+    # a mixture is refused on its combined denominator, though each part passes
+    parts = (Bernoulli(F(1, 2 ** 18)), Bernoulli(F(1, 3 ** 11)))
+    for part in parts:
+        realize(part, 16)
+    with pytest.raises(CapabilityError, match="got 74448896 at depth 16"):
+        realize(Mixture((F(1, 2), F(1, 2)), parts), 16)
+    # a table is held to the same rule
+    tiny = F(1, 10 ** 10000)  # 33 220 bits: past the cap from depth 10 on
+    table = DyadicMeasure.from_leaves(10, {"0" * 10: tiny, "1" * 10: 1 - tiny})
+    with pytest.raises(CapabilityError, match="got 68034560 at depth 10"):
+        realize(table, 10)
+    assert realize(table, 9).depth == 9

@@ -5,15 +5,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mixture_deficiency, reference_sperner_search
+from helpers import grid_weights, mixture_deficiency, reference_sperner_search
 from randlab.exact import is_inf
 from randlab.machines import PrefixMachine, canonical_machine
-from randlab.neutral import (
-    PointMixture,
-    _grid_points,
-    _labeller,
-    sperner_search,
-)
+from randlab.neutral import _grid_points, _labeller, sperner_search
 
 
 def test_single_sequence_scores_below_kraft_total():
@@ -44,18 +39,11 @@ def test_two_point_mixture_exact_value():
     assert value == F(1, 2) + F(1, 8) / F(1, 2) + F(1, 32) / F(1, 2)
 
 
-def test_mixture_weights_validated():
-    with pytest.raises(ValueError):
-        PointMixture((F(1, 2), F(1, 3)))
-    with pytest.raises(ValueError):
-        PointMixture((F(3, 2), F(-1, 2)))
-
-
 def test_search_k1_returns_the_single_vertex():
     machine = canonical_machine()
     cell = sperner_search(["0" * 8], machine, 8, 16)
     assert cell.labels == (0,)
-    assert cell.vertices[0].weights == (F(1),)
+    assert cell.points == ((16,),) and cell.resolution == 16
     assert cell.values[0] <= 1
     assert cell.diameter == 0
 
@@ -70,10 +58,10 @@ def one_dimensional_scan_oracle(machine, seqs, depth, m):
     """Labels along the edge grid; reports whether adjacent labels flip."""
     labels = []
     for j in range(m + 1):
-        mix = PointMixture((F(m - j, m), F(j, m)))
+        weights = grid_weights((m - j, j), m)
         chosen = None
-        for i in mix.support():
-            v = mixture_deficiency(mix, seqs, i, machine, depth)
+        for i in (i for i, w in enumerate(weights) if w):
+            v = mixture_deficiency(weights, seqs, i, machine, depth)
             if not is_inf(v) and v <= 1:
                 chosen = i
                 break
@@ -88,8 +76,8 @@ def test_search_k2_matches_scan_oracle():
     assert one_dimensional_scan_oracle(machine, seqs, 8, 64)
     cell = sperner_search(seqs, machine, 8, 64)
     assert sorted(cell.labels) == [0, 1]
-    for mix, label, value in zip(cell.vertices, cell.labels, cell.values):
-        assert value == mixture_deficiency(mix, seqs, label, machine, 8)
+    for point, label, value in zip(cell.points, cell.labels, cell.values):
+        assert value == mixture_deficiency(grid_weights(point, 64), seqs, label, machine, 8)
         assert value <= 1
     assert cell.diameter == F(2, 64)
 
@@ -99,9 +87,9 @@ def test_search_k3_fully_labelled_cell():
     seqs = ["0" * 8, "01" * 4, "11" * 4]
     cell = sperner_search(seqs, machine, 8, 32)
     assert sorted(cell.labels) == [0, 1, 2]
-    for mix, label, value in zip(cell.vertices, cell.labels, cell.values):
+    for point, label, value in zip(cell.points, cell.labels, cell.values):
         assert value <= 1
-        assert mix.weights[label] > 0
+        assert point[label] > 0 and sum(point) == 32
     assert cell.diameter == F(4, 32)
 
 
@@ -111,14 +99,14 @@ def test_every_grid_point_admits_a_label():
     m = 8
     for a in range(m + 1):
         for b in range(m + 1 - a):
-            mix = PointMixture((F(a, m), F(b, m), F(m - a - b, m)))
+            weights = grid_weights((a, b, m - a - b), m)
             found = False
-            for i in mix.support():
-                v = mixture_deficiency(mix, seqs, i, machine, 4)
+            for i in (i for i, w in enumerate(weights) if w):
+                v = mixture_deficiency(weights, seqs, i, machine, 4)
                 if not is_inf(v) and v <= 1:
                     found = True
                     break
-            assert found, mix
+            assert found, weights
 
 
 def test_refinement_shrinks_diameter():
@@ -158,12 +146,11 @@ def test_random_mixtures_respect_budget_identity():
             F(cuts[1] - cuts[0], 12),
             F(12 - cuts[1], 12),
         )
-        mix = PointMixture(weights)
         average = F(0)
-        for i in mix.support():
-            v = mixture_deficiency(mix, seqs, i, machine, 6)
+        for i in (i for i, w in enumerate(weights) if w):
+            v = mixture_deficiency(weights, seqs, i, machine, 6)
             assert not is_inf(v)
-            average += mix.weights[i] * v
+            average += weights[i] * v
         assert average <= 1
 
 
@@ -228,8 +215,8 @@ def test_label_is_the_least_supported_index_scoring_at_most_1(case):
     )
     label_of = _labeller(sequences, machine, depth, m)
     for point in points:
-        mix = PointMixture(tuple(F(c, m) for c in point))
-        values = {i: mixture_deficiency(mix, sequences, i, machine, depth) for i in mix.support()}
+        weights = grid_weights(point, m)
+        values = {i: mixture_deficiency(weights, sequences, i, machine, depth) for i, w in enumerate(weights) if w}
         first = min(i for i, v in values.items() if not is_inf(v) and v <= 1)
         label, num, den = label_of(point)
         assert (label, F(num, den)) == (first, values[first])

@@ -44,8 +44,8 @@ class ParseError(ValueError):
     pass
 
 
-#: Most `mix` files a measure spec may nest, so parsing and `realize` recurse
-#: a bounded number of levels.
+#: Most `mix` files a measure spec may nest, so parsing recurses a bounded
+#: number of levels (`realize` does not recurse: a `Mixture` is flat).
 MAX_MIX_NESTING = 64
 
 

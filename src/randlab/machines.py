@@ -164,10 +164,7 @@ def monotone_output_prob(machine: MonotoneMachine, x: str, horizon: int) -> Frac
     return Fraction(hits, 1 << horizon)
 
 
-def canonical_machine(max_len: int = 6) -> PrefixMachine:
-    """The shipped length-conditional encoder: 1^L 0 x -> x for |x| = L <= max_len.
-
-    Every word of length L <= max_len is produced by exactly one program of
-    length 2L + 1, so its shortest-program length is exactly 2L + 1.
-    """
-    return PrefixMachine({"1" * len(x) + "0" + x: x for x in prefixes(max_len)})
+def canonical_machine() -> PrefixMachine:
+    """The shipped length-conditional encoder: 1^L 0 x -> x for |x| = L <= 6,
+    so each such word has one program, of length 2L + 1, its shortest."""
+    return PrefixMachine({"1" * len(x) + "0" + x: x for x in prefixes(6)})

@@ -11,9 +11,10 @@ the whole table, so rows of different levels compare as they stand.  A
 at every interior prefix; `randtests.ExtendedTest` has nonnegative values.
 A word -> value mapping becomes a table once, in its constructor; past
 that, the kernels take and return these level rows only, read them
-directly and decide every (in)equality by integer arithmetic.  Every
-measure that `realize` or `from_leaves` builds is one leaf row summed up
-the tree by `fold_up`; a table spec is only cut to depth.
+directly and decide every (in)equality by integer arithmetic.  `realize`
+fixes a spec's one denominator, capped, before it builds a row; every
+measure it or `from_leaves` builds is one leaf row summed up the tree by
+`fold_up`, and a table spec is only cut to depth.
 Frequency statistics (sliding block averages and their upcrossing counts)
 live here too, since they are functions of words and masses only.
 
@@ -27,6 +28,7 @@ level.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -331,68 +333,73 @@ class Bernoulli:
 
 @dataclass(frozen=True)
 class Mixture:
-    """Convex combination of component specs; weights are positive, sum 1."""
+    """Convex combination of coins and tables; weights are positive, sum 1.
+    Built flat: an inner mixture's parts come in, weights multiplied, and a
+    part object listed twice is one part, with the summed weight, where it first comes."""
 
     weights: tuple[Fraction, ...]
     parts: tuple["MeasureSpec", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.weights) != len(self.parts) or not self.parts:
+        weights, parts = tuple(map(Fraction, self.weights)), tuple(self.parts)
+        if len(weights) != len(parts) or not parts:
             raise ValueError("mixture needs matching, nonempty weights and parts")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("mixture weights must be positive")
-        if sum(self.weights) != 1:
+        if sum(weights) != 1:
             raise ValueError("mixture weights must sum to 1 exactly")
+        flat: dict[int, list] = {}  # id -> [part, weight]; an inner mixture is already flat
+        for w, part in zip(weights, parts):
+            for v, leaf in zip(part.weights, part.parts) if isinstance(part, Mixture) else ((1, part),):
+                flat.setdefault(id(leaf), [leaf, 0])[1] += w * v
+        object.__setattr__(self, "parts", tuple(leaf for leaf, _ in flat.values()))
+        object.__setattr__(self, "weights", tuple(w for _, w in flat.values()))
 
 
 MeasureSpec = Union[Bernoulli, DyadicMeasure, Mixture]
 
 
-def _leaves(spec: MeasureSpec, depth: int, rows: dict[int, tuple[list[int], int]]) -> tuple[list[int], int]:
-    """The level-`depth` masses of a spec as (numerators, denominator).
-
-    Bernoulli(a/b) gives each word with k ones (b-a)^(depth-k) a^k over
-    b^depth, one int per class; a table gives its own level row; a mixture
-    puts its parts' rows over the lcm of (weight denominator x part
-    denominator), summing a shared part once (`rows` holds them by id).
-    Every denominator is refused past `MAX_TABLE_BITS` before a row over it
-    is built."""
+def _den(spec: MeasureSpec, depth: int) -> int:
+    """The one denominator of a spec's level-`depth` row: b^depth for a coin
+    a/b, a table's own, for a mixture the running lcm of (weight denominator
+    x part denominator); each part's and then the lcm refused past the cap."""
     if isinstance(spec, Bernoulli):
-        a, b = spec.p.numerator, spec.p.denominator
-        size = 1 << _capped(depth)
-        den = _sized(depth, b ** depth)
-        masses = [(b - a) ** (depth - k) * a ** k for k in range(depth + 1)]
-        return [masses[i.bit_count()] for i in range(size)], den
+        return _sized(depth, spec.p.denominator ** _capped(depth))
     if isinstance(spec, DyadicMeasure):
         if depth > spec.depth:
             raise ValueError(f"table of depth {spec.depth} cannot realize depth {depth}")
-        return spec.nums[_capped(depth)], _sized(depth, spec.den)
+        return _sized(_capped(depth), spec.den)
     if isinstance(spec, Mixture):
-        for part in spec.parts:
-            rows[id(part)] = rows.get(id(part)) or _leaves(part, depth, rows)
-        parts = [rows[id(part)] for part in spec.parts]
-        scales = [w.denominator * den for w, (_, den) in zip(spec.weights, parts)]
-        den = _sized(depth, lcm(*scales))
-        row = [0] * (1 << depth)
-        for w, (part, _), scale in zip(spec.weights, parts, scales):
-            factor = w.numerator * (den // scale)
-            row = _sums(row, [v * factor for v in part])
-        return row, den
+        den = 1  # every part's own refusal before the lcm's, as when each row came first
+        for scale in [w.denominator * _den(part, depth) for w, part in zip(spec.weights, spec.parts)]:
+            den = _sized(depth, lcm(den, scale))
+        return den
     raise TypeError(f"not a measure spec: {spec!r}")
 
 
-def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
-    """Expand a spec into its depth-truncated mass table.
+def _leaves(spec: MeasureSpec, depth: int, den: int) -> list[int]:
+    """A spec's level-`depth` masses over `den`, a multiple of `_den`: a coin
+    a/b gives a word with k ones (b-a)^(depth-k) a^k den/b^depth, a table its
+    row scaled once, and a mixture adds into one running row each part's row
+    over den w, its weighted mass over den, so no part's row outlives its turn."""
+    if isinstance(spec, Bernoulli):
+        a, b = spec.p.numerator, spec.p.denominator
+        factor = den // b ** depth
+        masses = [(b - a) ** (depth - k) * a ** k * factor for k in range(depth + 1)]
+        return [masses[i.bit_count()] for i in range(1 << depth)]
+    if isinstance(spec, DyadicMeasure):
+        return list(map(operator.mul, spec.nums[depth], itertools.repeat(den // spec.den)))
+    weighted = (_leaves(part, depth, den // w.denominator * w.numerator) for w, part in zip(spec.weights, spec.parts))
+    return functools.reduce(_sums, weighted)
 
-    A table is cut at `depth`; any other spec is its leaf row (`_leaves`),
-    summed up the tree by `fold_up` over that row's one denominator.
-    """
-    row, den = _leaves(spec, depth, {})
+
+def realize(spec: MeasureSpec, depth: int) -> DyadicMeasure:
+    """Expand a spec into its depth-truncated mass table: its one denominator
+    first (`_den`, capped), then a table's cut or `fold_up` over `_leaves`."""
+    den = _den(spec, depth)
     if isinstance(spec, DyadicMeasure):
         return spec.truncated(depth)
-    return DyadicMeasure._of_levels(fold_up(row, _sums), den)
+    return DyadicMeasure._of_levels(fold_up(_leaves(spec, depth, den), _sums), den)
 
 
 def class_masses(ones: int, zeros: int, n: int, step: int) -> tuple[list[int], int]:

@@ -664,19 +664,27 @@ def reference_sparsity(values, depth: int, x: str) -> Fraction:
 COPRIME_DENOMINATORS = (2, 3, 5, 7, 11, 13)
 
 
-def random_spec(rng: random.Random, depth: int, nesting: int = 2):
+def random_spec(rng: random.Random, depth: int, nesting: int = 2, drawn: list | None = None):
     """A Bernoulli, table or mixture spec; mixture weights and coins take
-    pairwise coprime denominators, so table denominators grow as lcms."""
+    pairwise coprime denominators, so table denominators grow as lcms.  A
+    part may be a spec drawn before (`drawn` holds them all), so one part
+    object can sit twice under one mixture, or under two parents."""
+    drawn = [] if drawn is None else drawn
+    if drawn and rng.random() < 0.3:
+        return rng.choice(drawn)
     kind = rng.choice(("bernoulli", "table", "mix") if nesting else ("bernoulli", "table"))
     if kind == "bernoulli":
         b = rng.choice(COPRIME_DENOMINATORS)
-        return Bernoulli(Fraction(rng.randint(0, b), b))
-    if kind == "table":
-        return random_dyadic_measure(rng, depth)
-    dens = rng.sample(COPRIME_DENOMINATORS[1:], rng.randint(1, 2))
-    weights = [Fraction(rng.randint(1, (d - 1) // 2), d) for d in dens]  # each below 1/2
-    weights.append(1 - sum(weights))
-    return Mixture(tuple(weights), tuple(random_spec(rng, depth, nesting - 1) for _ in weights))
+        spec = Bernoulli(Fraction(rng.randint(0, b), b))
+    elif kind == "table":
+        spec = random_dyadic_measure(rng, depth)
+    else:
+        dens = rng.sample(COPRIME_DENOMINATORS[1:], rng.randint(1, 2))
+        weights = [Fraction(rng.randint(1, (d - 1) // 2), d) for d in dens]  # each below 1/2
+        weights.append(1 - sum(weights))
+        spec = Mixture(tuple(weights), tuple(random_spec(rng, depth, nesting - 1, drawn) for _ in weights))
+    drawn.append(spec)
+    return spec
 
 
 def random_listed(rng: random.Random, depth: int, inf: bool = False) -> dict:

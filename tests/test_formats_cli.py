@@ -52,6 +52,12 @@ def write(tmp_path, name, content):
     return str(path)
 
 
+def many_coins(tmp_path, n):
+    """A `mix` of n equally weighted coins 1/(2^31 - 1 - 2i)."""
+    lines = [f"1/{n} {write(tmp_path, f'k{i}.measure', f'bernoulli 1/{2 ** 31 - 1 - 2 * i}')}" for i in range(n)]
+    return write(tmp_path, "coins.measure", "\n".join(["mix", *lines]) + "\n")
+
+
 def test_parse_bernoulli_spec(tmp_path):
     path = write(tmp_path, "b.measure", "bernoulli 2/3\n")
     spec = parse_measure_spec_file(path)
@@ -303,7 +309,7 @@ def test_cli_refuses_prefix_tables_past_the_depth_cap(tmp_path, capsys, case):
     assert randlab.coupling.CapabilityError is CapabilityError
 
 
-@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits", "criterion-n", "coupling-n"])
+@pytest.mark.parametrize("case", ["urn-n", "neutral-grid", "tail-n", "tail-digits", "criterion-n", "coupling-n", "mix-lcm"])
 def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
     # one past each cap: four sequences try C(52, 3) * 3! Kuhn chains at
     # resolution 49, against C(51, 3) * 3! at 48, which the cap admits
@@ -322,6 +328,9 @@ def test_cli_refuses_kernels_past_their_caps(tmp_path, capsys, case):
         "criterion-n": ["monotone-criterion", *coins, "--depth", str(MAX_DEPTH)],
         # the flow stops at MAX_COUPLING_N; here too the tables would take megabytes
         "coupling-n": ["coupling", *coins, "--depth", str(MAX_DEPTH)],
+        # the running lcm of 300 coins' denominators passes the cap after a few
+        # dozen parts, before any part's row is built
+        "mix-lcm": ["validate-measure", many_coins(tmp_path, 300), "--depth", "12"],
     }[case]
     assert 720 * 7 > MAX_TAIL_DIGITS and MAX_COUPLING_N < MAX_DEPTH
     tracemalloc.start()

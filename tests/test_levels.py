@@ -71,6 +71,28 @@ def test_realize_matches_the_dict_walk(seed, depth):
 
 
 @pytest.mark.parametrize("seed,depth", CASES)
+def test_mixtures_are_flat_and_keep_their_masses(seed, depth):
+    # parts drawn with nested and shared mixtures, and one part listed again
+    rng = random.Random(seed * 43 + depth)
+    drawn: list = []
+    parts = [random_spec(rng, depth, 2, drawn) for _ in range(rng.randint(1, 4))]
+    parts.append(rng.choice(drawn))
+    raw = [rng.randint(1, 6) for _ in parts]
+    weights = [F(r, sum(raw)) for r in raw]
+    mix = Mixture(tuple(weights), tuple(parts))
+    assert not any(isinstance(part, Mixture) for part in mix.parts)
+    first: dict = {}  # each coin or table by identity, in order of first appearance
+    for part in parts:
+        for leaf in part.parts if isinstance(part, Mixture) else (part,):
+            first.setdefault(id(leaf), leaf)
+    assert [id(part) for part in mix.parts] == list(first)
+    assert sum(mix.weights) == 1 and min(mix.weights) > 0
+    masses = [reference_realize(part, depth) for part in parts]
+    expected = {x: sum((w * m[x] for w, m in zip(weights, masses)), F(0)) for x in prefixes(depth)}
+    assert by_word(realize(mix, depth)) == expected
+
+
+@pytest.mark.parametrize("seed,depth", CASES)
 def test_from_leaves_reports_the_first_offending_prefix(seed, depth):
     rng = random.Random(seed * 37 + depth)
     leaves = {x: F(rng.randint(-1, 4), rng.choice((2, 3, 4))) for x in all_words(depth)}

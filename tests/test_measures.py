@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -243,9 +244,46 @@ def test_realize_refuses_a_table_past_the_bit_cap_before_its_rows():
         realize(part, 16)
     with pytest.raises(CapabilityError, match="got 74448896 at depth 16"):
         realize(Mixture((F(1, 2), F(1, 2)), parts), 16)
+    # the running lcm is refused at the part where it passes the cap: 3 x
+    # 2^288 x 3^176 at the second, not 79429632 bits with the third's 5^16
+    with pytest.raises(CapabilityError, match="got 74579968 at depth 16"):
+        realize(Mixture((F(1, 3),) * 3, (*parts, Bernoulli(F(1, 5)))), 16)
     # a table is held to the same rule
     tiny = F(1, 10 ** 10000)  # 33 220 bits: past the cap from depth 10 on
     table = DyadicMeasure.from_leaves(10, {"0" * 10: tiny, "1" * 10: 1 - tiny})
     with pytest.raises(CapabilityError, match="got 68034560 at depth 10"):
         realize(table, 10)
     assert realize(table, 9).depth == 9
+    # each part's own refusal comes before the combined one, as when the
+    # parts' rows were built first
+    with pytest.raises(ValueError, match="table of depth 10 cannot realize depth 16"):
+        realize(Mixture((F(1, 3),) * 3, (*parts, table)), 16)
+
+
+def test_a_mixture_is_flat_and_sums_a_shared_part_once():
+    a, b, c = Bernoulli(F(1, 3)), Bernoulli(F(1, 2)), Bernoulli(F(1, 5))
+    twice = Mixture((F(1, 4), F(1, 2), F(1, 4)), (a, b, a))
+    assert [id(part) for part in twice.parts] == [id(a), id(b)] and twice.weights == (F(1, 2), F(1, 2))
+    left, right = Mixture((F(1, 2), F(1, 2)), (a, b)), Mixture((F(1, 3), F(2, 3)), (a, c))
+    both = Mixture((F(1, 2), F(1, 2)), (left, right))  # a reached through two parents
+    assert [id(part) for part in both.parts] == [id(a), id(b), id(c)]
+    assert both.weights == (F(5, 12), F(1, 4), F(1, 3))
+    # parts are matched by identity: two equal coins stay two parts
+    assert len(Mixture((F(1, 2), F(1, 2)), (Bernoulli(F(1, 3)), Bernoulli(F(1, 3)))).parts) == 2
+
+
+def test_realize_holds_one_row_however_the_mixes_nest():
+    # eight two-coin mixes under one mix peak as one two-coin mix does: the
+    # parts' rows are added into one running row, none kept for later
+    p = 2 ** 31 - 1
+    coins = [Bernoulli(F(p // 3 + 7919 * i, p)) for i in range(16)]
+    pairs = [Mixture((F(1, 2), F(1, 2)), coins[i : i + 2]) for i in range(0, 16, 2)]
+    peaks = []
+    for spec in (pairs[0], Mixture((F(1, 8),) * 8, pairs)):
+        tracemalloc.start()
+        try:
+            realize(spec, 12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
